@@ -71,7 +71,8 @@ def draw_model_instance(seed: int, *, image_hw: int = 8,
         rng = np.random.default_rng([seed, attempt])
         params = model.init_params(cfg, int(rng.integers(2 ** 31)))
         # Nonzero biases move pre-activations off the relu kink.
-        for b in params.block_biases:
+        for i in range(1, cfg.block_count + 1):
+            b = params[f"block{i}.bias"]
             b += rng.uniform(0.05, 0.3, b.shape)
         image = rng.uniform(0.0, 1.0, (in_channels, image_hw, image_hw))
         truth = (rng.random((4, image_hw, image_hw)) < 0.4).astype(np.float64)

@@ -64,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--deterministic", action="store_true",
-                       help="force serial execution (the only mode implemented)")
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
     p.add_argument("--out", help="output directory")

@@ -59,6 +59,8 @@ def _validate_pair(pred: np.ndarray, truth: np.ndarray,
         raise ValueError(f"expected [C,H,W] or [B,C,H,W], got {pred.ndim} dimensions")
     if pred.shape[axis] != class_count:
         raise ValueError(f"expected {class_count} channels, got {pred.shape[axis]}")
+    if not np.isfinite(pred).all():
+        raise ValueError("predicted probabilities must be finite")
     if pred.min() < 0.0 or pred.max() > 1.0:
         raise ValueError("predicted probabilities must lie in [0, 1]")
     if not np.isin(truth, (0.0, 1.0)).all():
@@ -126,16 +128,8 @@ def dice_loss(pred: np.ndarray, truth: np.ndarray,
               cfg: LossConfig = LossConfig()) -> tuple[float, np.ndarray]:
     """Smoothed dice loss for a single-channel [1,H,W] mask, with gradient.
 
-    Uses the same fuzzy counts as the F1 loss, so on identical
-    single-channel inputs the dice term equals the per-class F1 term
-    exactly.
+    This is the F1 loss with one class, so the dice term equals the
+    per-class F1 term exactly.
     """
     single = LossConfig(eps=cfg.eps, class_count=1)
-    pred, truth, axis, tp, fp, fn, denom = _per_class_state(pred, truth, single)
-    loss = float(1.0 - 2.0 * tp[0] / denom[0])
-    shape = [1] * pred.ndim
-    shape[axis] = 1
-    lin = (2.0 / denom).reshape(shape)
-    const = (2.0 * tp / denom ** 2).reshape(shape)
-    grad = -(truth * lin - const)
-    return loss, grad
+    return f1_loss(pred, truth, single)[0], f1_loss_grad(pred, truth, single)

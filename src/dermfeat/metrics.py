@@ -21,6 +21,8 @@ def _check_scores_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     labels = np.asarray(labels, dtype=np.float64).ravel()
     if scores.shape != labels.shape:
         raise ValueError(f"{scores.size} scores but {labels.size} labels")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
     if not np.isin(labels, (0.0, 1.0)).all():
         raise ValueError("labels must be binary")
     return scores, labels
@@ -109,6 +111,8 @@ def evaluate(predictions, truths, sample_ids=None) -> RocResult:
             raise ValueError(
                 f"{sid}: prediction shape {pred.shape} does not match truth "
                 f"shape {truth.shape} (expected [K,{CLASS_COUNT}])")
+        if not np.isfinite(pred).all():
+            raise ValueError(f"{sid}: prediction scores must be finite")
         pooled_scores.append(pred)
         pooled_labels.append(truth)
     scores = np.concatenate(pooled_scores, axis=0)

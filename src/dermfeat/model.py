@@ -11,7 +11,9 @@ output spatial size always equals input spatial size.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -69,66 +71,54 @@ class EncoderConfig:
         return ConvSpec(self.kernel, self.kernel, stride=1, padding=self.kernel // 2)
 
 
-@dataclass
-class ModelParams:
-    """Per-block conv weights/biases plus the 1x1 head."""
+# Parameter name -> tensor, in param_specs order.
+ModelParams = dict[str, np.ndarray]
 
-    block_weights: list[np.ndarray]
-    block_biases: list[np.ndarray]
-    head_weight: np.ndarray  # [CLASS_COUNT, sum(channels), 1, 1]
-    head_bias: np.ndarray    # [CLASS_COUNT]
 
-    def arrays(self) -> list[np.ndarray]:
-        """All parameter tensors in a fixed serialization order."""
-        out: list[np.ndarray] = []
-        for w, b in zip(self.block_weights, self.block_biases):
-            out.extend((w, b))
-        out.extend((self.head_weight, self.head_bias))
-        return out
+def param_specs(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter tensor, in serialization order."""
+    specs = []
+    c_in = cfg.in_channels
+    for i, c_out in enumerate(cfg.channels, start=1):
+        specs.append((f"block{i}.weight", (c_out, c_in, cfg.kernel, cfg.kernel)))
+        specs.append((f"block{i}.bias", (c_out,)))
+        c_in = c_out
+    specs.append(("head.weight", (CLASS_COUNT, cfg.hypercolumn_channels, 1, 1)))
+    specs.append(("head.bias", (CLASS_COUNT,)))
+    return specs
+
+
+def _spec_mismatch(got: list, want: list) -> str | None:
+    """Describe the first difference between two (name, shape) lists."""
+    for i, (g, w) in enumerate(itertools.zip_longest(got, want)):
+        if g != w:
+            return f"tensor {i} is {g}, expected {w}"
+    return None
 
 
 def init_params(cfg: EncoderConfig, seed: int) -> ModelParams:
-    """Uniform [-a, a] weights with a = sqrt(6 / fan_in); zero biases.
+    """Uniform [-a, a] weights with a = sqrt(6 / fan_in), where fan_in is
+    the product of a weight's trailing extents; zero biases.
 
     Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    c_in = cfg.in_channels
-    k = cfg.kernel
-    for c_out in cfg.channels:
-        a = np.sqrt(6.0 / (c_in * k * k))
-        weights.append(rng.uniform(-a, a, size=(c_out, c_in, k, k)))
-        biases.append(np.zeros(c_out))
-        c_in = c_out
-    a = np.sqrt(6.0 / cfg.hypercolumn_channels)
-    head_w = rng.uniform(-a, a, size=(CLASS_COUNT, cfg.hypercolumn_channels, 1, 1))
-    return ModelParams(weights, biases, head_w, np.zeros(CLASS_COUNT))
+    params = {}
+    for name, shape in param_specs(cfg):
+        if name.endswith(".weight"):
+            a = np.sqrt(6.0 / math.prod(shape[1:]))
+            params[name] = rng.uniform(-a, a, size=shape)
+        else:
+            params[name] = np.zeros(shape)
+    return params
 
 
 def check_params(params: ModelParams, cfg: EncoderConfig) -> None:
-    """Verify parameter shapes against a config, naming the offending block."""
-    if len(params.block_weights) != cfg.block_count:
-        raise ValueError(
-            f"params have {len(params.block_weights)} blocks, config expects "
-            f"{cfg.block_count}")
-    c_in = cfg.in_channels
-    k = cfg.kernel
-    for i, (w, b, c_out) in enumerate(zip(params.block_weights,
-                                          params.block_biases, cfg.channels)):
-        expect = (c_out, c_in, k, k)
-        if w.shape != expect:
-            raise ValueError(f"block {i + 1} weight shape {w.shape}, expected {expect}")
-        if b.shape != (c_out,):
-            raise ValueError(f"block {i + 1} bias shape {b.shape}, expected {(c_out,)}")
-        c_in = c_out
-    expect = (CLASS_COUNT, cfg.hypercolumn_channels, 1, 1)
-    if params.head_weight.shape != expect:
-        raise ValueError(f"head weight shape {params.head_weight.shape}, "
-                         f"expected {expect}")
-    if params.head_bias.shape != (CLASS_COUNT,):
-        raise ValueError(f"head bias shape {params.head_bias.shape}, "
-                         f"expected {(CLASS_COUNT,)}")
+    """Verify tensor names, order and shapes against a config."""
+    mismatch = _spec_mismatch([(n, a.shape) for n, a in params.items()],
+                              param_specs(cfg))
+    if mismatch:
+        raise ValueError(f"params do not match config: {mismatch}")
 
 
 _HEAD_SPEC = ConvSpec(1, 1, stride=1, padding=0)
@@ -160,7 +150,8 @@ def forward(params: ModelParams, cfg: EncoderConfig,
     block_inputs, pre_acts, taps, pool_argmax = [], [], [], []
     for i in range(cfg.block_count):
         block_inputs.append(x)
-        z = ops.conv2d(x, params.block_weights[i], params.block_biases[i], spec)
+        block = f"block{i + 1}"
+        z = ops.conv2d(x, params[f"{block}.weight"], params[f"{block}.bias"], spec)
         a = ops.relu(z)
         pre_acts.append(z)
         taps.append(a)
@@ -170,7 +161,8 @@ def forward(params: ModelParams, cfg: EncoderConfig,
 
     resized = [ops.bilinear_resize(a, h, w) for a in taps]
     hyper = ops.concat_channels(resized)
-    logits = ops.conv2d(hyper, params.head_weight, params.head_bias, _HEAD_SPEC)
+    logits = ops.conv2d(hyper, params["head.weight"], params["head.bias"],
+                        _HEAD_SPEC)
     probs = ops.sigmoid(logits)
     cache = ForwardCache(image, block_inputs, pre_acts, taps, pool_argmax,
                          hyper, probs)
@@ -181,8 +173,8 @@ def backward(params: ModelParams, cfg: EncoderConfig, cache: ForwardCache,
              grad_probs: np.ndarray) -> tuple[ModelParams, np.ndarray]:
     """Exact gradients of sum(grad_probs * probs) w.r.t. params and image.
 
-    Returns (grad_params, grad_image); grad_params reuses the ModelParams
-    container.
+    Returns (grad_params, grad_image); grad_params has the names and
+    order of params.
     """
     grad_probs = as_f64(grad_probs)
     if grad_probs.shape != cache.probs.shape:
@@ -191,13 +183,12 @@ def backward(params: ModelParams, cfg: EncoderConfig, cache: ForwardCache,
             f"output shape {cache.probs.shape}")
 
     g_logits = ops.sigmoid_backward(cache.probs, grad_probs)
-    g_hyper, g_head_w, g_head_b = ops.conv2d_backward(
-        cache.hypercolumn, params.head_weight, _HEAD_SPEC, g_logits)
+    grads = dict.fromkeys(params)
+    g_hyper, grads["head.weight"], grads["head.bias"] = ops.conv2d_backward(
+        cache.hypercolumn, params["head.weight"], _HEAD_SPEC, g_logits)
     g_resized = ops.split_channels(g_hyper, list(cfg.channels))
 
     spec = cfg.conv_spec()
-    g_weights: list[np.ndarray] = [None] * cfg.block_count  # type: ignore[list-item]
-    g_biases: list[np.ndarray] = [None] * cfg.block_count   # type: ignore[list-item]
     g_from_pool: np.ndarray | None = None
     for i in reversed(range(cfg.block_count)):
         tap = cache.taps[i]
@@ -205,86 +196,68 @@ def backward(params: ModelParams, cfg: EncoderConfig, cache: ForwardCache,
         if g_from_pool is not None:
             g_tap = g_tap + g_from_pool
         g_z = ops.relu_backward(cache.pre_acts[i], g_tap)
-        g_x, g_w, g_b = ops.conv2d_backward(cache.block_inputs[i],
-                                            params.block_weights[i], spec, g_z)
-        g_weights[i], g_biases[i] = g_w, g_b
+        block = f"block{i + 1}"
+        g_x, grads[f"{block}.weight"], grads[f"{block}.bias"] = ops.conv2d_backward(
+            cache.block_inputs[i], params[f"{block}.weight"], spec, g_z)
         if i > 0:
             prev_tap = cache.taps[i - 1]
             g_from_pool = ops.maxpool2d_backward(cache.pool_argmax[i - 1], g_x,
                                                  prev_tap.shape)
-    grad_params = ModelParams(g_weights, g_biases, g_head_w, g_head_b)
-    return grad_params, g_x
-
-
-def param_shapes(cfg: EncoderConfig) -> list[tuple[int, ...]]:
-    """Tensor shapes in serialization order (block weight/bias pairs, head)."""
-    shapes: list[tuple[int, ...]] = []
-    c_in = cfg.in_channels
-    for c_out in cfg.channels:
-        shapes.append((c_out, c_in, cfg.kernel, cfg.kernel))
-        shapes.append((c_out,))
-        c_in = c_out
-    shapes.append((CLASS_COUNT, cfg.hypercolumn_channels, 1, 1))
-    shapes.append((CLASS_COUNT,))
-    return shapes
+    return grads, g_x
 
 
 def flatten_params(params: ModelParams) -> np.ndarray:
     """Concatenate all parameter tensors into one flat vector."""
-    return np.concatenate([a.ravel() for a in params.arrays()])
+    return np.concatenate([a.ravel() for a in params.values()])
 
 
 def unflatten_params(cfg: EncoderConfig, vec: np.ndarray) -> ModelParams:
-    """Rebuild a ModelParams with cfg's shapes from a flat vector."""
+    """Rebuild cfg's parameter tensors from a flat vector."""
     vec = as_f64(vec)
-    arrays, offset = [], 0
-    for shape in param_shapes(cfg):
-        size = int(np.prod(shape))
-        arrays.append(vec[offset:offset + size].reshape(shape).copy())
+    specs = param_specs(cfg)
+    need = sum(math.prod(shape) for _, shape in specs)
+    if vec.size != need:
+        raise ValueError(f"flat vector has {vec.size} entries, config needs {need}")
+    params, offset = {}, 0
+    for name, shape in specs:
+        size = math.prod(shape)
+        params[name] = vec[offset:offset + size].reshape(shape).copy()
         offset += size
-    if offset != vec.size:
-        raise ValueError(f"flat vector has {vec.size} entries, config needs {offset}")
-    n = cfg.block_count
-    return ModelParams(arrays[0:2 * n:2], arrays[1:2 * n:2],
-                       arrays[2 * n], arrays[2 * n + 1])
+    return params
 
 
 def save_params(params: ModelParams, cfg: EncoderConfig,
                 path: str | os.PathLike) -> None:
     """Write magic, length-prefixed JSON header, then raw LE float64 data."""
     check_params(params, cfg)
-    tensors = []
-    names = []
-    for i in range(cfg.block_count):
-        names.extend((f"block{i + 1}.weight", f"block{i + 1}.bias"))
-    names.extend(("head.weight", "head.bias"))
-    for name, arr in zip(names, params.arrays()):
-        tensors.append({"name": name, "shape": list(arr.shape)})
     header = {
         "in_channels": cfg.in_channels,
         "channels": list(cfg.channels),
         "kernel": cfg.kernel,
         "class_names": list(CLASS_NAMES),
-        "tensors": tensors,
+        "tensors": [{"name": name, "shape": list(shape)}
+                    for name, shape in param_specs(cfg)],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(WEIGHTS_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for arr in params.arrays():
+        for arr in params.values():
             fh.write(arr.astype("<f8").tobytes())
 
 
 def load_params(path: str | os.PathLike,
                 cfg: EncoderConfig | None = None
                 ) -> tuple[ModelParams, EncoderConfig]:
-    """Read a weights file; verifies magic, header, and payload sizes.
+    """Read a weights file; verifies magic, header, tensor list, payload
+    size and finiteness. Every defect is a ValueError naming the path.
 
     If cfg is given, the stored geometry must match it exactly.
     """
     spath = os.fspath(path)
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(WEIGHTS_MAGIC))
         if magic != WEIGHTS_MAGIC:
             raise ValueError(f"{spath}: bad magic {magic!r}, expected "
@@ -293,37 +266,43 @@ def load_params(path: str | os.PathLike,
         if len(raw_len) != 8:
             raise ValueError(f"{spath}: truncated header length")
         (header_len,) = struct.unpack("<Q", raw_len)
+        if header_len > size - fh.tell():
+            raise ValueError(f"{spath}: truncated header ({header_len} bytes "
+                             f"declared, {size - fh.tell()} left in file)")
         blob = fh.read(header_len)
-        if len(blob) != header_len:
-            raise ValueError(f"{spath}: truncated header")
-        header = json.loads(blob.decode("utf-8"))
-        file_cfg = EncoderConfig(channels=tuple(header["channels"]),
-                                 in_channels=int(header["in_channels"]),
-                                 kernel=int(header["kernel"]))
-        if tuple(header["class_names"]) != CLASS_NAMES:
-            raise ValueError(f"{spath}: class names {header['class_names']} "
+        try:
+            header = json.loads(blob.decode("utf-8"))
+            channels, in_channels, kernel = (
+                header["channels"], header["in_channels"], header["kernel"])
+            if not all(type(v) is int for v in [*channels, in_channels, kernel]):
+                raise TypeError("geometry entries must be integers")
+            file_cfg = EncoderConfig(tuple(channels), in_channels, kernel)
+            class_names = tuple(header["class_names"])
+            stored = [(e["name"], tuple(e["shape"])) for e in header["tensors"]]
+        except KeyError as exc:
+            raise ValueError(f"{spath}: header lacks key {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:  # UTF-8, JSON too
+            raise ValueError(f"{spath}: malformed header: {exc}") from exc
+        if class_names != CLASS_NAMES:
+            raise ValueError(f"{spath}: class names {list(class_names)} "
                              f"do not match {list(CLASS_NAMES)}")
-        arrays = []
-        for entry in header["tensors"]:
-            shape = tuple(int(s) for s in entry["shape"])
-            count = int(np.prod(shape))
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise ValueError(f"{spath}: truncated tensor {entry['name']!r}")
-            arrays.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
-    n = file_cfg.block_count
-    params = ModelParams(arrays[0:2 * n:2], arrays[1:2 * n:2],
-                         arrays[2 * n], arrays[2 * n + 1])
-    check_params(params, file_cfg)
+        specs = param_specs(file_cfg)
+        mismatch = _spec_mismatch(stored, specs)
+        if mismatch:
+            raise ValueError(f"{spath}: {mismatch}")
+        payload = 8 * sum(math.prod(shape) for _, shape in specs)
+        left = size - fh.tell()
+        if left != payload:
+            kind = "truncated payload" if left < payload else "trailing bytes"
+            raise ValueError(f"{spath}: {kind}: {left} bytes after the header, "
+                             f"tensors need {payload}")
+        params = unflatten_params(file_cfg, np.frombuffer(fh.read(), dtype="<f8"))
+    for name, arr in params.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{spath}: tensor {name} has non-finite values")
     if cfg is not None:
-        if tuple(cfg.channels) != tuple(file_cfg.channels):
-            detail = f"file has {n} blocks, config expects {cfg.block_count}"
-            for i, (a, b) in enumerate(zip(file_cfg.channels, cfg.channels)):
-                if a != b:
-                    detail = f"block {i + 1} has {a} channels, config expects {b}"
-                    break
-            if n < cfg.block_count:
-                detail = f"block {n + 1} missing from file"
-            raise ValueError(f"{spath}: {detail}")
-        check_params(params, cfg)
+        mismatch = _spec_mismatch(specs, param_specs(cfg))
+        if mismatch:
+            raise ValueError(f"{spath}: file geometry does not match config: "
+                             f"{mismatch}")
     return params, file_cfg

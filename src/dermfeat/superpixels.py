@@ -89,7 +89,7 @@ def validate_labels(labels: np.ndarray, count: int) -> np.ndarray:
 
 def validate_mask(mask: np.ndarray, height: int | None = None,
                   width: int | None = None) -> np.ndarray:
-    """Check a [4,H,W] mask volume: shape and [0,1] value range."""
+    """Check a [4,H,W] mask volume: shape and finite [0,1] values."""
     mask = as_f64(mask)
     if mask.ndim != 3 or mask.shape[0] != CLASS_COUNT:
         raise ValueError(f"mask must be [{CLASS_COUNT},H,W], got shape {mask.shape}")
@@ -97,6 +97,8 @@ def validate_mask(mask: np.ndarray, height: int | None = None,
         raise ValueError(f"mask height {mask.shape[1]} != expected {height}")
     if width is not None and mask.shape[2] != width:
         raise ValueError(f"mask width {mask.shape[2]} != expected {width}")
+    if not np.isfinite(mask).all():
+        raise ValueError("mask values must be finite")
     if mask.min() < 0.0 or mask.max() > 1.0:
         raise ValueError("mask values must lie in [0, 1]")
     return mask

@@ -90,7 +90,7 @@ def train(dataset: Sequence[Sample],
         truths.append(labels_to_mask(sample.smap, sample.labels))
 
     params = model.init_params(cfg.encoder, cfg.seed)
-    velocity = [np.zeros_like(a) for a in params.arrays()]
+    velocity = {name: np.zeros_like(p) for name, p in params.items()}
     lcfg = LossConfig(eps=cfg.eps)
     # The seeded shuffle is identical every epoch so the batch partition is
     # stable: a zero learning-rate run then reports the same loss each epoch.
@@ -116,14 +116,14 @@ def train(dataset: Sequence[Sample],
 
             grad_total = None
             for cache, grad_probs in zip(caches, grad_stack):
-                grad_params, _ = model.backward(params, cfg.encoder, cache,
-                                                grad_probs)
+                grads, _ = model.backward(params, cfg.encoder, cache, grad_probs)
                 if grad_total is None:
-                    grad_total = grad_params.arrays()
+                    grad_total = grads
                 else:
-                    for acc, g in zip(grad_total, grad_params.arrays()):
-                        acc += g
-            for p, v, g in zip(params.arrays(), velocity, grad_total):
+                    for name, g in grads.items():
+                        grad_total[name] += g
+            for p, v, g in zip(params.values(), velocity.values(),
+                               grad_total.values()):
                 v *= cfg.momentum
                 v -= cfg.learning_rate * g
                 p += v

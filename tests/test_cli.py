@@ -154,6 +154,17 @@ class TestPredict:
         assert "w.hfcn" in err
 
 
+    def test_malformed_weights_exit_1_naming_path(self, capsys, small_dataset,
+                                                   trained, tmp_path):
+        weights = tmp_path / "w.hfcn"
+        weights.write_bytes((trained / "weights.hfcn").read_bytes() + bytes(8))
+        code, _, err = run(capsys, "predict", "--weights", str(weights),
+                           "--data", str(small_dataset / "manifest.json"),
+                           "--out", str(tmp_path))
+        assert code == 1
+        assert str(weights) in err and "trailing bytes" in err
+
+
 class TestEval:
     @pytest.fixture()
     def predictions(self, small_dataset, trained, tmp_path):

@@ -67,6 +67,13 @@ class TestF1Loss:
         with pytest.raises(ValueError, match="channels"):
             f1_loss(np.zeros((3, 4, 4)), np.zeros((3, 4, 4)))
 
+    def test_rejects_non_finite_prediction(self):
+        # NaN fails every comparison, so a range check alone lets it through.
+        pred = np.full((4, 2, 2), 0.5)
+        pred[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            f1_loss(pred, np.zeros_like(pred))
+
     def test_loss_in_unit_interval(self):
         rng = np.random.default_rng(31)
         for _ in range(20):

@@ -66,6 +66,11 @@ class TestAuroc:
         total = auroc(scores, labels) + auroc(scores, 1.0 - labels)
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    def test_rejects_non_finite_score(self):
+        # Unchecked, the NaN sorts last and the result reads a perfect 1.0.
+        with pytest.raises(ValueError, match="finite"):
+            auroc([np.nan, 0.2, 0.3], [1, 0, 1])
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="scores"):
             auroc([0.1, 0.2], [1])
@@ -139,6 +144,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="sample_7"):
             evaluate([np.zeros((3, 4))], [np.zeros((5, 4))],
                      sample_ids=["sample_7"])
+
+    def test_non_finite_score_names_the_image(self):
+        preds = [np.full((3, 4), 0.5), np.full((3, 4), 0.5)]
+        preds[1][2, 0] = np.inf
+        with pytest.raises(ValueError, match="sample_9.*finite"):
+            evaluate(preds, [np.zeros((3, 4))] * 2,
+                     sample_ids=["sample_8", "sample_9"])
 
     def test_json_payload_shape(self):
         truth = np.zeros((4, 4))

@@ -1,21 +1,29 @@
 """Hypercolumn network tests: architecture bookkeeping, gradients, serialization."""
 
+import hashlib
+import json
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dermfeat import model
 from dermfeat.gradcheck import gradcheck
 from dermfeat.loss import f1_loss, f1_loss_grad
-from dermfeat.model import (EncoderConfig, ModelParams, check_params,
-                            flatten_params, forward, init_params, load_params,
-                            param_shapes, save_params, unflatten_params)
+from dermfeat.model import (WEIGHTS_MAGIC, EncoderConfig, ModelParams,
+                            check_params, flatten_params, forward, init_params,
+                            load_params, param_specs, save_params,
+                            unflatten_params)
 
 TINY = EncoderConfig(channels=(2, 2), in_channels=1)
 
 
 def zero_params(cfg: EncoderConfig) -> ModelParams:
     p = init_params(cfg, 0)
-    for a in p.arrays():
+    for a in p.values():
         a[...] = 0.0
     return p
 
@@ -24,19 +32,22 @@ class TestInit:
     def test_deterministic_for_fixed_seed(self):
         a = init_params(EncoderConfig(), 7)
         b = init_params(EncoderConfig(), 7)
-        for x, y in zip(a.arrays(), b.arrays()):
+        assert list(a) == list(b)
+        for x, y in zip(a.values(), b.values()):
             np.testing.assert_array_equal(x, y)
 
     def test_biases_zero(self):
         p = init_params(EncoderConfig(), 3)
-        for b in p.block_biases + [p.head_bias]:
+        biases = [a for name, a in p.items() if name.endswith(".bias")]
+        assert len(biases) == 6
+        for b in biases:
             assert (b == 0.0).all()
 
     def test_uniform_bound_stddev(self):
         # 64x32x3x3 fan-in 288: uniform [-a,a] has stddev a/sqrt(3).
         cfg = EncoderConfig(channels=(32, 64), in_channels=3)
         p = init_params(cfg, 11)
-        w = p.block_weights[1]
+        w = p["block2.weight"]
         assert w.shape == (64, 32, 3, 3)
         a = np.sqrt(6.0 / (32 * 3 * 3))
         assert abs(w.std() - a / np.sqrt(3)) < 0.2 * (a / np.sqrt(3))
@@ -45,7 +56,7 @@ class TestInit:
     def test_different_seeds_differ(self):
         a = init_params(TINY, 0)
         b = init_params(TINY, 1)
-        assert not np.array_equal(a.block_weights[0], b.block_weights[0])
+        assert not np.array_equal(a["block1.weight"], b["block1.weight"])
 
 
 class TestForward:
@@ -102,9 +113,9 @@ class TestForward:
     def test_overlapping_detections_representable(self):
         # A constructed head can push two classes above 0.5 at one pixel.
         params = zero_params(TINY)
-        for b in params.block_biases:
-            b[...] = 1.0
-        params.head_bias[...] = [2.0, 2.0, -2.0, -2.0]
+        params["block1.bias"][...] = 1.0
+        params["block2.bias"][...] = 1.0
+        params["head.bias"][...] = [2.0, 2.0, -2.0, -2.0]
         probs, _ = forward(params, TINY, np.zeros((1, 8, 8)))
         assert probs[0, 0, 0] > 0.5 and probs[1, 0, 0] > 0.5
         assert probs[2, 0, 0] < 0.5 and probs[3, 0, 0] < 0.5
@@ -116,7 +127,8 @@ class TestBackward:
         params = init_params(TINY, 5)
         probs, cache = forward(params, TINY, rng.random((1, 8, 8)))
         grads, g_img = model.backward(params, TINY, cache, np.zeros_like(probs))
-        for g in grads.arrays():
+        assert list(grads) == list(params)
+        for g in grads.values():
             assert (g == 0.0).all()
         assert (g_img == 0.0).all()
 
@@ -128,7 +140,7 @@ class TestBackward:
         grad_probs = rng.normal(size=probs.shape)
         grads, _ = model.backward(params, TINY, cache, grad_probs)
         expected = (grad_probs * probs * (1.0 - probs)).sum(axis=(1, 2))
-        np.testing.assert_allclose(grads.head_bias, expected, rtol=1e-12)
+        np.testing.assert_allclose(grads["head.bias"], expected, rtol=1e-12)
 
     def test_rejects_stale_cache_shape(self):
         rng = np.random.default_rng(56)
@@ -140,8 +152,8 @@ class TestBackward:
     def test_end_to_end_loss_gradient(self):
         rng = np.random.default_rng(57)
         params = init_params(TINY, 8)
-        for b in params.block_biases:
-            b += 0.2  # keep pre-activations off the relu kink
+        for name in ("block1.bias", "block2.bias"):
+            params[name] += 0.2  # keep pre-activations off the relu kink
         image = rng.random((1, 8, 8))
         truth = (rng.random((4, 8, 8)) < 0.4).astype(np.float64)
 
@@ -169,13 +181,24 @@ class TestFlatten:
         params = init_params(EncoderConfig(channels=(3, 5), in_channels=2), 9)
         vec = flatten_params(params)
         back = unflatten_params(EncoderConfig(channels=(3, 5), in_channels=2), vec)
-        for a, b in zip(params.arrays(), back.arrays()):
+        assert list(back) == list(params)
+        for a, b in zip(params.values(), back.values()):
             np.testing.assert_array_equal(a, b)
 
     def test_shapes_cover_all_tensors(self):
         cfg = EncoderConfig(channels=(3, 5), in_channels=2)
-        shapes = param_shapes(cfg)
-        assert shapes == [s.shape for s in init_params(cfg, 0).arrays()]
+        specs = param_specs(cfg)
+        assert specs == [(name, a.shape)
+                         for name, a in init_params(cfg, 0).items()]
+        assert specs == [("block1.weight", (3, 2, 3, 3)), ("block1.bias", (3,)),
+                         ("block2.weight", (5, 3, 3, 3)), ("block2.bias", (5,)),
+                         ("head.weight", (4, 8, 1, 1)), ("head.bias", (4,))]
+
+    def test_rejects_wrong_vector_length(self):
+        cfg = EncoderConfig(channels=(3, 5), in_channels=2)
+        vec = flatten_params(init_params(cfg, 0))
+        with pytest.raises(ValueError, match="config needs"):
+            unflatten_params(cfg, vec[:-1])
 
 
 class TestSerialization:
@@ -186,8 +209,18 @@ class TestSerialization:
         save_params(params, cfg, path)
         loaded, loaded_cfg = load_params(path)
         assert loaded_cfg == cfg
-        for a, b in zip(params.arrays(), loaded.arrays()):
+        assert list(loaded) == list(params)
+        for a, b in zip(params.values(), loaded.values()):
             np.testing.assert_array_equal(a, b)
+
+    def test_on_disk_format_is_pinned(self, tmp_path):
+        cfg = EncoderConfig(channels=(2, 3), in_channels=1)
+        path = tmp_path / "weights.hfcn"
+        save_params(init_params(cfg, 0), cfg, path)
+        data = path.read_bytes()
+        assert len(data) == 1237
+        assert hashlib.sha256(data).hexdigest() == (
+            "4d396fd8d4af81931b1f687718d3f9d359b3d60c268bacbfcb0b8223832aa37c")
 
     def test_rejects_corrupted_magic(self, tmp_path):
         cfg = EncoderConfig(channels=(2,), in_channels=1)
@@ -212,12 +245,135 @@ class TestSerialization:
         big = EncoderConfig(channels=(8, 16, 32), in_channels=3)
         path = tmp_path / "weights.hfcn"
         save_params(init_params(small, 0), small, path)
-        with pytest.raises(ValueError, match="block 3"):
+        with pytest.raises(ValueError, match="block3.weight"):
             load_params(path, cfg=big)
 
     def test_check_params_names_offending_block(self):
         cfg = EncoderConfig(channels=(2, 3), in_channels=1)
         params = init_params(cfg, 0)
-        params.block_weights[1] = np.zeros((3, 9, 3, 3))
-        with pytest.raises(ValueError, match="block 2"):
+        params["block2.weight"] = np.zeros((3, 9, 3, 3))
+        with pytest.raises(ValueError, match="block2.weight"):
             check_params(params, cfg)
+
+    def test_check_params_enforces_names_and_order(self):
+        cfg = EncoderConfig(channels=(2, 3), in_channels=1)
+        params = init_params(cfg, 0)
+        reordered = dict(reversed(params.items()))
+        with pytest.raises(ValueError, match=r"tensor 0 is \('head.bias'"):
+            check_params(reordered, cfg)
+        del params["head.bias"]
+        with pytest.raises(ValueError, match=r"None, expected \('head.bias'"):
+            check_params(params, cfg)
+
+
+
+def _weights_bytes() -> bytes:
+    """The pinned 1237-byte weights file of a (2, 3)-channel encoder."""
+    cfg = EncoderConfig(channels=(2, 3), in_channels=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/weights.hfcn"
+        save_params(init_params(cfg, 0), cfg, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _weights_parts():
+    """(header dict, payload bytes) of _weights_bytes()."""
+    data = _weights_bytes()
+    (n,) = struct.unpack("<Q", data[8:16])
+    return json.loads(data[16:16 + n]), data[16 + n:]
+
+
+def _weights_file(header, payload: bytes, blob: bytes | None = None) -> bytes:
+    if blob is None:
+        blob = json.dumps(header).encode("utf-8")
+    return WEIGHTS_MAGIC + struct.pack("<Q", len(blob)) + blob + payload
+
+
+def _malformed(case: str) -> bytes:
+    header, payload = _weights_parts()
+    if case == "trailing bytes":
+        return _weights_file(header, payload + bytes(8))
+    if case == "bogus tensor name":
+        header["tensors"][2]["name"] = "block2.kernel"
+        return _weights_file(header, payload)
+    if case == "too few tensors":
+        header["tensors"] = header["tensors"][:-1]
+        return _weights_file(header, payload[:-4 * 8])
+    if case == "huge header length":
+        return WEIGHTS_MAGIC + struct.pack("<Q", 2 ** 62)
+    if case == "non-UTF-8 header":
+        return _weights_file(None, payload, blob=b"\xff\xfe{}")
+    if case == "non-JSON header":
+        return _weights_file(None, payload, blob=b"{channels: [2, 3]")
+    if case == "non-object header":
+        return _weights_file([1, 2], payload)
+    if case.startswith("missing "):
+        del header[case.split()[1]]
+        return _weights_file(header, payload)
+    if case == "invalid geometry":
+        header["kernel"] = 2
+        return _weights_file(header, payload)
+    if case == "fractional geometry":
+        header["in_channels"] = 1.9
+        return _weights_file(header, payload)
+    if case in ("NaN weight", "inf weight"):
+        vec = np.frombuffer(payload, dtype="<f8").copy()
+        if case == "NaN weight":
+            vec[-6] = np.nan  # in head.weight: head.bias is the last 4 entries
+        else:
+            vec[0] = -np.inf  # in block1.weight
+        return _weights_file(header, vec.tobytes())
+    raise AssertionError(case)
+
+
+class TestLoaderRejects:
+    @pytest.mark.parametrize("case, detail", [
+        ("trailing bytes", "trailing bytes"),
+        ("bogus tensor name", r"tensor 2 is \('block2.kernel'"),
+        ("too few tensors", r"tensor 5 is None, expected \('head.bias'"),
+        ("huge header length", "truncated header"),
+        ("non-UTF-8 header", "malformed header"),
+        ("non-JSON header", "malformed header"),
+        ("non-object header", "malformed header"),
+        ("missing channels", "lacks key 'channels'"),
+        ("missing kernel", "lacks key 'kernel'"),
+        ("missing tensors", "lacks key 'tensors'"),
+        ("invalid geometry", "kernel must be a positive odd extent"),
+        ("fractional geometry", "geometry entries must be integers"),
+        ("NaN weight", "head.weight has non-finite values"),
+        ("inf weight", "block1.weight has non-finite values"),
+    ])
+    def test_malformed_file_is_value_error_naming_path(self, tmp_path, case,
+                                                       detail):
+        path = tmp_path / "weights.hfcn"
+        path.write_bytes(_malformed(case))
+        with pytest.raises(ValueError, match=detail) as info:
+            load_params(path)
+        assert str(path) in str(info.value)
+
+
+@pytest.fixture(scope="module")
+def corruption_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("corrupt"), _weights_bytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(offset=st.integers(0, 1236), flip=st.integers(0, 255))
+def test_truncated_or_flipped_file_loads_finite_or_names_path(corruption_dir,
+                                                              offset, flip):
+    # flip == 0 truncates the file at offset; otherwise XOR one byte there.
+    root, valid = corruption_dir
+    data = bytearray(valid)
+    if flip:
+        data[offset] ^= flip
+    else:
+        del data[offset:]
+    path = root / "weights.hfcn"
+    path.write_bytes(bytes(data))
+    try:
+        params, _ = load_params(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+    else:
+        assert all(np.isfinite(a).all() for a in params.values())

@@ -78,6 +78,13 @@ class TestConversions:
         scores = mask_to_scores(smap, mask)
         np.testing.assert_allclose(scores[0, 2], 0.4)
 
+    def test_rejects_non_finite_mask(self):
+        smap = grid_superpixels(2, 2, 1)
+        mask = np.full((4, 2, 2), 0.5)
+        mask[3, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            mask_to_scores(smap, mask)
+
     def test_two_pixel_half(self):
         index = np.array([[0], [0]])
         smap = SuperpixelMap(index=index, count=1)

@@ -45,7 +45,7 @@ class TestTrain:
         cfg = tiny_config(learning_rate=0.0)
         params, report = train(tiny_dataset, cfg)
         initial = model.init_params(cfg.encoder, cfg.seed)
-        for a, b in zip(params.arrays(), initial.arrays()):
+        for a, b in zip(params.values(), initial.values()):
             np.testing.assert_array_equal(a, b)
         # With frozen params every epoch sees the same loss.
         assert report.losses()[0] == report.losses()[1]
@@ -54,7 +54,7 @@ class TestTrain:
         p1, r1 = train(tiny_dataset, tiny_config())
         p2, r2 = train(tiny_dataset, tiny_config())
         assert r1.losses() == r2.losses()
-        for a, b in zip(p1.arrays(), p2.arrays()):
+        for a, b in zip(p1.values(), p2.values()):
             np.testing.assert_array_equal(a, b)
 
     def test_seed_changes_trajectory(self, tiny_dataset):
@@ -129,7 +129,7 @@ class TestPredict:
 
     def test_zero_params_give_half(self):
         params = model.init_params(TINY_ENCODER, 0)
-        for a in params.arrays():
+        for a in params.values():
             a[...] = 0.0
         out = predict(params, TINY_ENCODER, np.zeros((3, 16, 16)))
         np.testing.assert_array_equal(out, np.full((4, 16, 16), 0.5))
