@@ -152,6 +152,18 @@ def _require_file(path_str: str, what: str) -> Path:
     return path
 
 
+def _write_report(path: Path, payload) -> None:
+    """Stream payload to path as indented JSON. NaN or infinity is an error
+    naming the path, and the partly written file is removed."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, allow_nan=False)
+            fh.write("\n")
+    except ValueError as exc:
+        path.unlink()
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def cmd_gen_data(cfg: dict) -> int:
     out = _require(cfg, "out", "gen-data")
     spec = data.SynthSpec(
@@ -205,9 +217,7 @@ def cmd_train(cfg: dict) -> int:
     params, report = train(samples, tcfg)
     out.mkdir(parents=True, exist_ok=True)
     model.save_params(params, encoder, out / "weights.hfcn")
-    with open(out / "train_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_report(out / "train_report.json", report.to_json_dict())
     for e in report.epoch_stats:
         print(f"epoch {e.epoch}: mean batch loss {e.mean_batch_loss:.6f} "
               f"({e.wall_time_s:.2f}s)")
@@ -221,6 +231,12 @@ def cmd_predict(cfg: dict) -> int:
     out = Path(_require(cfg, "out", "predict"))
 
     params, encoder = model.load_params(weights_path)
+    for s in samples:
+        try:
+            encoder.check_image(s.image)
+        except ValueError as exc:
+            raise ValueError(f"image {s.name!r} does not fit weights "
+                             f"{weights_path}: {exc}") from None
     entries = []
     for s in samples:
         probs = predict(params, encoder, s.image)
@@ -228,9 +244,7 @@ def cmd_predict(cfg: dict) -> int:
         entries.append({"image": s.name, "scores": [list(map(float, row))
                                                     for row in scores]})
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "predictions.json", "w", encoding="utf-8") as fh:
-        json.dump(entries, fh, indent=2)
-        fh.write("\n")
+    _write_report(out / "predictions.json", entries)
     print(f"wrote scores for {len(entries)} images to {out / 'predictions.json'}")
     return 0
 
@@ -254,9 +268,7 @@ def cmd_eval(cfg: dict) -> int:
     result = metrics.evaluate(predictions, truths, sample_ids=ids)
 
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "eval_report.json", "w", encoding="utf-8") as fh:
-        json.dump(result.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_report(out / "eval_report.json", result.to_json_dict())
     print(f"{'class':<18} {'auroc':>8} {'positives':>10} {'negatives':>10}")
     for c in result.per_class:
         shown = "n/a" if c.auroc is None else f"{c.auroc:.4f}"
@@ -296,9 +308,7 @@ def cmd_gradcheck(cfg: dict) -> int:
                 for name, r in results
             ],
         }
-        with open(out / "gradcheck_report.json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_report(out / "gradcheck_report.json", payload)
     if not all_passed:
         print("gradient check FAILED", file=sys.stderr)
         return 1

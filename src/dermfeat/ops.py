@@ -185,8 +185,11 @@ def maxpool2d_backward(argmax: np.ndarray, grad_output: np.ndarray,
             f"maxpool2d_backward grad_output shape {grad_output.shape} does "
             f"not match argmax shape {argmax.shape}"
         )
-    grad_x = np.zeros(int(np.prod(input_shape)))
-    np.add.at(grad_x, argmax.ravel(), grad_output.ravel())
+    # bincount sums each target's weights from 0.0 in source order, as
+    # np.add.at does, in one pass; windows never overlap, so every sum
+    # has at most one term.
+    grad_x = np.bincount(argmax.ravel(), weights=grad_output.ravel(),
+                         minlength=int(np.prod(input_shape)))
     return grad_x.reshape(input_shape)
 
 
@@ -261,10 +264,17 @@ def _lerp_last_axis(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
 def _lerp_last_axis_backward(grad: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                              frac: np.ndarray, n_in: int) -> np.ndarray:
-    out = np.zeros(grad.shape[:-1] + (n_in,))
-    np.add.at(out, (..., lo), grad * (1.0 - frac))
-    np.add.at(out, (..., hi), grad * frac)
-    return out
+    # Each target sums its lo products in increasing i, then its hi
+    # products, starting from 0.0: the order and rounding of np.add.at,
+    # without its per-element cost. Putting the axis first makes every
+    # g[i] and out[j] one contiguous slab.
+    g = np.ascontiguousarray(np.moveaxis(grad, -1, 0))
+    out = np.zeros((n_in,) + g.shape[1:])
+    for i, j in enumerate(lo):
+        out[j] += g[i] * (1.0 - frac[i])
+    for i, j in enumerate(hi):
+        out[j] += g[i] * frac[i]
+    return np.moveaxis(out, 0, -1)
 
 
 def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

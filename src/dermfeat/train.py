@@ -75,6 +75,14 @@ class TrainReport:
         return {"epochs": epochs}
 
 
+def _check_finite(epoch: int, batch: int, tensors: dict) -> None:
+    """Fail fast on divergence, naming the first non-finite tensor."""
+    for name, value in tensors.items():
+        if not np.isfinite(value).all():
+            raise FloatingPointError(f"training diverged at epoch {epoch}, "
+                                     f"batch {batch}: {name} is not finite")
+
+
 def train(dataset: Sequence[Sample],
           cfg: TrainConfig) -> tuple[ModelParams, TrainReport]:
     """Run the full training loop; returns (params, per-epoch report)."""
@@ -100,7 +108,7 @@ def train(dataset: Sequence[Sample],
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         batch_losses = []
-        for start in range(0, len(dataset), cfg.batch_size):
+        for batch, start in enumerate(range(0, len(dataset), cfg.batch_size), 1):
             idx = order[start:start + cfg.batch_size]
             caches = []
             preds = []
@@ -109,6 +117,9 @@ def train(dataset: Sequence[Sample],
                                              dataset[i].image)
                 preds.append(probs)
                 caches.append(cache)
+            _check_finite(epoch, batch, {
+                f"prediction for {dataset[i].name!r}": probs
+                for i, probs in zip(idx, preds)})
             pred_stack = np.stack(preds)
             truth_stack = np.stack([truths[i] for i in idx])
             batch_loss, _ = f1_loss(pred_stack, truth_stack, lcfg)
@@ -127,6 +138,7 @@ def train(dataset: Sequence[Sample],
                 v *= cfg.momentum
                 v -= cfg.learning_rate * g
                 p += v
+            _check_finite(epoch, batch, {"batch loss": batch_loss, **params})
             batch_losses.append(batch_loss)
         stats.append(EpochStats(epoch=epoch,
                                 mean_batch_loss=float(np.mean(batch_losses)),

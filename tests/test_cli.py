@@ -164,6 +164,26 @@ class TestPredict:
         assert code == 1
         assert str(weights) in err and "trailing bytes" in err
 
+    def test_image_too_small_for_weights_exits_1_naming_both(self, capsys,
+                                                             tmp_path):
+        # Six 2x2 pools need extents divisible by 32: train at 32 px,
+        # then predict on 16 px images.
+        big, small = tmp_path / "big", tmp_path / "small"
+        for root, size in ((big, "32"), (small, "16")):
+            assert main(["gen-data", "--out", str(root), "--count", "2",
+                         "--size", size, "--cell", "4", "--seed", "2"]) == 0
+        assert main(["train", "--data", str(big / "manifest.json"),
+                     "--out", str(tmp_path / "run"), "--epochs", "1",
+                     "--batch", "2", "--channels", "1,1,1,1,1,1"]) == 0
+        weights = tmp_path / "run" / "weights.hfcn"
+        code, _, err = run(capsys, "predict", "--weights", str(weights),
+                           "--data", str(small / "manifest.json"),
+                           "--out", str(tmp_path / "pred"))
+        assert code == 1
+        assert "sample_00000" in err and str(weights) in err
+        assert "divisible by 32" in err
+        assert not (tmp_path / "pred").exists()
+
 
 class TestEval:
     @pytest.fixture()
@@ -248,6 +268,32 @@ class TestGradcheck:
                              "--tolerance", "1e-12")
         assert code == 1
         assert "FAIL" in out
+
+    def test_non_finite_report_exits_1_without_writing(self, capsys, tmp_path,
+                                                       monkeypatch):
+        from dermfeat import checks
+        from dermfeat.gradcheck import GradCheckReport
+        nan = float("nan")
+        nan_report = GradCheckReport(
+            passed=False, max_rel_error=nan, worst_index=(0,),
+            analytic_at_worst=nan, numeric_at_worst=0.0, tolerance=1e-5,
+            step=1e-5)
+        monkeypatch.setattr(checks, "run_suite",
+                            lambda *a, **k: [("conv2d", nan_report)])
+        code, _, err = run(capsys, "gradcheck", "--out", str(tmp_path))
+        report = tmp_path / "gradcheck_report.json"
+        assert code == 1
+        assert str(report) in err and "not JSON compliant" in err
+        assert not report.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_report_writer_rejects_non_finite(tmp_path, value):
+    from dermfeat.cli import _write_report
+    path = tmp_path / "r.json"
+    with pytest.raises(ValueError, match="r.json"):
+        _write_report(path, {"epochs": [{"mean_batch_loss": value}]})
+    assert not path.exists()
 
 
 def test_usage_error_exits_2(capsys):

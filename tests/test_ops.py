@@ -28,6 +28,24 @@ def conv2d_oracle(x, w, b, spec):
     return out
 
 
+def lerp_backward_oracle(grad, lo, hi, frac, n_in):
+    """np.add.at scatter along the last axis, the reference the
+    loop-based resize backward must match bit for bit."""
+    out = np.zeros(grad.shape[:-1] + (n_in,))
+    np.add.at(out, (..., lo), grad * (1.0 - frac))
+    np.add.at(out, (..., hi), grad * frac)
+    return out
+
+
+def resize_backward_oracle(grad, in_h, in_w):
+    _, out_h, out_w = grad.shape
+    rlo, rhi, rfrac = ops._resize_axis_coords(in_h, out_h)
+    clo, chi, cfrac = ops._resize_axis_coords(in_w, out_w)
+    gc = lerp_backward_oracle(grad, clo, chi, cfrac, in_w)
+    return lerp_backward_oracle(gc.transpose(0, 2, 1), rlo, rhi, rfrac,
+                                in_h).transpose(0, 2, 1)
+
+
 class TestConv2d:
     def test_frozen_2x2_kernel_example(self):
         x = np.array([[[1.0, 2, 3], [4, 5, 6], [7, 8, 9]]])
@@ -161,6 +179,17 @@ class TestMaxPool:
         gx = ops.maxpool2d_backward(idx, np.array([[[5.0]]]), x.shape)
         np.testing.assert_array_equal(gx, [[[0.0, 0.0], [0.0, 5.0]]])
 
+    def test_backward_bit_identical_to_add_at(self):
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(3, 8, 6))
+        _, idx = ops.maxpool2d(x)
+        g = rng.normal(size=idx.shape)
+        g[0, 0, 0], g[1, 2, 1], g[2, 3, 2] = -0.0, 0.0, -0.0
+        want = np.zeros(x.size)
+        np.add.at(want, idx.ravel(), g.ravel())
+        got = ops.maxpool2d_backward(idx, g, x.shape)
+        assert got.tobytes() == want.reshape(x.shape).tobytes()
+
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(10)
         # Spread values keep every window far from ties.
@@ -277,6 +306,34 @@ class TestBilinearResize:
         rep = gradcheck(lambda v: float((g * ops.bilinear_resize(v, 4, 3)).sum()),
                         x, gx, step=1e-5, tolerance=1e-6)
         assert rep.passed, rep.summary()
+
+    @pytest.mark.parametrize("in_hw, out_hw", [
+        ((4, 4), (64, 64)),      # upsample
+        ((16, 16), (256, 256)),
+        ((64, 64), (64, 64)),    # identity
+        ((9, 9), (4, 4)),        # downsample
+        ((7, 7), (2, 2)),
+        ((5, 7), (13, 2)),       # non-square, up on one axis, down on the other
+        ((1, 6), (5, 3)),        # an n_in == 1 axis
+    ])
+    def test_backward_bit_identical_to_add_at(self, in_hw, out_hw):
+        rng = np.random.default_rng(in_hw[0] * 1000 + out_hw[0])
+        g = rng.normal(size=(3,) + out_hw)
+        got = ops.bilinear_resize_backward(g, *in_hw)
+        assert got.shape == (3,) + in_hw
+        assert got.tobytes() == resize_backward_oracle(g, *in_hw).tobytes()
+
+    def test_backward_keeps_signed_zeros_of_add_at(self):
+        # Targets fed only by -0.0 or 0.0 products must come out as the
+        # oracle's 0.0 + (-0.0) sums do, byte for byte.
+        rng = np.random.default_rng(18)
+        g = rng.normal(size=(2, 9, 11))
+        g[0] = -0.0
+        g[1, :4] = 0.0
+        g[1, 4:, ::2] = -0.0
+        for in_hw in ((3, 4), (9, 11), (1, 1)):
+            got = ops.bilinear_resize_backward(g, *in_hw)
+            assert got.tobytes() == resize_backward_oracle(g, *in_hw).tobytes()
 
 
 class TestConcat:

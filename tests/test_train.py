@@ -110,6 +110,42 @@ class TestTrain:
         _, report = train(tiny_dataset, cfg)
         assert report.losses()[-1] < report.losses()[0]
 
+    def test_divergence_fails_fast_naming_epoch_batch_and_sample(
+            self, tiny_dataset):
+        # Weights of ~1e300 overflow the second batch's forward pass.
+        cfg = tiny_config(learning_rate=1e300, momentum=0.0)
+        with np.errstate(all="ignore"), pytest.raises(
+                FloatingPointError,
+                match=r"epoch 1, batch 2: prediction for 'sample_\d+\.ppm' "
+                      r"is not finite"):
+            train(tiny_dataset, cfg)
+
+    def test_non_finite_batch_loss_fails_fast(self, tiny_dataset, monkeypatch):
+        import dermfeat.train as train_mod
+        real_loss = train_mod.f1_loss
+        monkeypatch.setattr(train_mod, "f1_loss", lambda p, t, c: (
+            float("nan"), real_loss(p, t, c)[1]))
+        with pytest.raises(FloatingPointError,
+                           match="epoch 1, batch 1: batch loss is not finite"):
+            train(tiny_dataset, tiny_config())
+
+    def test_non_finite_update_fails_fast_naming_tensor(self, tiny_dataset,
+                                                        monkeypatch):
+        calls = []
+        real_backward = model.backward
+
+        def overflowing_backward(params, cfg, cache, grad_probs):
+            grads, extra = real_backward(params, cfg, cache, grad_probs)
+            calls.append(None)
+            if len(calls) == 7:  # first sample of epoch 2, batch 1
+                grads["head.bias"][0] = np.inf
+            return grads, extra
+
+        monkeypatch.setattr(model, "backward", overflowing_backward)
+        with pytest.raises(FloatingPointError,
+                           match="epoch 2, batch 1: head.bias is not finite"):
+            train(tiny_dataset, tiny_config())
+
     def test_report_json_excludes_wall_time_by_default(self, tiny_dataset):
         _, report = train(tiny_dataset, tiny_config())
         doc = report.to_json_dict()
