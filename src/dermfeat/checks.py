@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import model
+from . import model, ops
 from .gradcheck import GradCheckReport, gradcheck
 from .loss import LossConfig, dice_loss, f1_loss, f1_loss_grad
 from .model import EncoderConfig
@@ -44,10 +44,13 @@ def check_dice_loss(seed: int, *, shape: tuple[int, int, int] = (1, 8, 8),
                      step=step, tolerance=tolerance)
 
 
-def _well_conditioned(cache: model.ForwardCache) -> bool:
+def _well_conditioned(params: model.ModelParams, cfg: EncoderConfig,
+                      cache: model.ForwardCache) -> bool:
     """True when every pre-activation sits away from the relu kink and
     every pool window has a clear winner."""
-    for z in cache.pre_acts:
+    for i, x in enumerate(cache.block_inputs, start=1):
+        z = ops.conv2d(x, params[f"block{i}.weight"], params[f"block{i}.bias"],
+                       cfg.kernel // 2)
         if np.abs(z).min() <= SMOOTH_MARGIN:
             return False
     for a, _ in zip(cache.taps[:-1], cache.pool_argmax):
@@ -77,7 +80,7 @@ def draw_model_instance(seed: int, *, image_hw: int = 8,
         image = rng.uniform(0.0, 1.0, (in_channels, image_hw, image_hw))
         truth = (rng.random((4, image_hw, image_hw)) < 0.4).astype(np.float64)
         _, cache = model.forward(params, cfg, image)
-        if _well_conditioned(cache):
+        if _well_conditioned(params, cfg, cache):
             return cfg, params, image, truth, lcfg
     raise RuntimeError(f"no well-conditioned model instance found for seed {seed}")
 

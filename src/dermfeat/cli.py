@@ -37,10 +37,8 @@ _DEFAULTS = {
         "momentum": 0.9, "seed": 0, "eps": 1.0,
         "channels": [8, 16, 32, 64, 64],
     },
-    # predict/eval accept --seed for interface uniformity; inference is
-    # deterministic and never draws from it.
-    "predict": {"weights": None, "data": None, "out": None, "seed": 0},
-    "eval": {"pred": None, "data": None, "out": None, "seed": 0},
+    "predict": {"weights": None, "data": None, "out": None},
+    "eval": {"pred": None, "data": None, "out": None},
     "gradcheck": {
         "tolerance": 1e-5, "step": 1e-5, "instances": 5, "seed": 0,
         "out": None,
@@ -94,14 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", help="weights file")
     p.add_argument("--data", help="manifest path")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int)
     add_common(p)
 
     p = sub.add_parser("eval", help="superpixel-level AUROC per class")
     p.add_argument("--pred", help="predictions JSON from the predict command")
     p.add_argument("--data", help="manifest path with ground-truth labels")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int)
     add_common(p)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
@@ -192,20 +188,17 @@ def cmd_gen_data(cfg: dict) -> int:
     return 0
 
 
-def _load_dataset(cfg: dict, name: str) -> tuple[Path, list[data.Sample]]:
-    manifest_path = _require_file(_require(cfg, "data", name), "manifest")
-    return manifest_path, data.load(manifest_path)
+def _load_dataset(cfg: dict, name: str) -> list[data.Sample]:
+    return data.load(_require_file(_require(cfg, "data", name), "manifest"))
 
 
 def cmd_train(cfg: dict) -> int:
-    manifest_path, samples = _load_dataset(cfg, "train")
-    manifest = data.read_manifest(manifest_path)
+    samples = _load_dataset(cfg, "train")
     out = Path(_require(cfg, "out", "train"))
 
     encoder = EncoderConfig(channels=tuple(int(c) for c in cfg["channels"]),
                             in_channels=samples[0].image.shape[0])
     tcfg = TrainConfig(batch_size=int(cfg["batch"]), epochs=int(cfg["epochs"]),
-                       image_size=manifest.image_size,
                        learning_rate=float(cfg["lr"]),
                        momentum=float(cfg["momentum"]), seed=int(cfg["seed"]),
                        eps=float(cfg["eps"]), encoder=encoder)
@@ -227,7 +220,7 @@ def cmd_train(cfg: dict) -> int:
 
 def cmd_predict(cfg: dict) -> int:
     weights_path = _require_file(_require(cfg, "weights", "predict"), "weights file")
-    _, samples = _load_dataset(cfg, "predict")
+    samples = _load_dataset(cfg, "predict")
     out = Path(_require(cfg, "out", "predict"))
 
     params, encoder = model.load_params(weights_path)
@@ -241,8 +234,7 @@ def cmd_predict(cfg: dict) -> int:
     for s in samples:
         probs = predict(params, encoder, s.image)
         scores = mask_to_scores(s.smap, probs)
-        entries.append({"image": s.name, "scores": [list(map(float, row))
-                                                    for row in scores]})
+        entries.append({"image": s.name, "scores": scores.tolist()})
     out.mkdir(parents=True, exist_ok=True)
     _write_report(out / "predictions.json", entries)
     print(f"wrote scores for {len(entries)} images to {out / 'predictions.json'}")
@@ -251,7 +243,7 @@ def cmd_predict(cfg: dict) -> int:
 
 def cmd_eval(cfg: dict) -> int:
     pred_path = _require_file(_require(cfg, "pred", "eval"), "predictions file")
-    _, samples = _load_dataset(cfg, "eval")
+    samples = _load_dataset(cfg, "eval")
     out = Path(_require(cfg, "out", "eval"))
 
     with open(pred_path, "r", encoding="utf-8") as fh:

@@ -1,12 +1,13 @@
 """Hypercolumn fully-convolutional network.
 
-Each encoder block is conv(3x3, pad 1) -> relu; 2x2 max pooling follows
-every block except the last. Every block's activation is tapped before
-its pool, bilinearly resized back to the input resolution, and the taps
-are concatenated into a hypercolumn. A 1x1 convolution maps the
-hypercolumn to one channel per class, and an elementwise logistic
-squashes the output into (0, 1). The network is fully convolutional:
-output spatial size always equals input spatial size.
+Each encoder block is conv(k x k, "same" zero padding k // 2) -> relu;
+2x2 max pooling follows every block except the last. Every block's
+activation is tapped before its pool, bilinearly resized back to the
+input resolution, and the taps are concatenated into a hypercolumn. A
+1x1 convolution maps the hypercolumn to one channel per class, and an
+elementwise logistic squashes the output into (0, 1). The network is
+fully convolutional: output spatial size always equals input spatial
+size, and every extent is read from the image and the weight tensors.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .ops import ConvSpec, as_f64
+from .ops import as_f64
 from .superpixels import CLASS_COUNT, CLASS_NAMES
 
 WEIGHTS_MAGIC = b"HFCNv001"
@@ -66,9 +67,6 @@ class EncoderConfig:
             raise ValueError(
                 f"image extents {h}x{w} must be divisible by {m} "
                 f"({self.block_count} blocks)")
-
-    def conv_spec(self) -> ConvSpec:
-        return ConvSpec(self.kernel, self.kernel, stride=1, padding=self.kernel // 2)
 
 
 # Parameter name -> tensor, in param_specs order.
@@ -121,16 +119,11 @@ def check_params(params: ModelParams, cfg: EncoderConfig) -> None:
         raise ValueError(f"params do not match config: {mismatch}")
 
 
-_HEAD_SPEC = ConvSpec(1, 1, stride=1, padding=0)
-
-
 @dataclass
 class ForwardCache:
     """Intermediates retained for the backward pass."""
 
-    image: np.ndarray
     block_inputs: list[np.ndarray]   # conv input per block
-    pre_acts: list[np.ndarray]       # conv output per block (pre-relu)
     taps: list[np.ndarray]           # post-relu activations (pre-pool)
     pool_argmax: list[np.ndarray]    # one per pooled gap
     hypercolumn: np.ndarray
@@ -143,17 +136,15 @@ def forward(params: ModelParams, cfg: EncoderConfig,
     image = as_f64(image)
     cfg.check_image(image)
     check_params(params, cfg)
-    spec = cfg.conv_spec()
     h, w = image.shape[1], image.shape[2]
 
     x = image
-    block_inputs, pre_acts, taps, pool_argmax = [], [], [], []
+    block_inputs, taps, pool_argmax = [], [], []
     for i in range(cfg.block_count):
         block_inputs.append(x)
         block = f"block{i + 1}"
-        z = ops.conv2d(x, params[f"{block}.weight"], params[f"{block}.bias"], spec)
-        a = ops.relu(z)
-        pre_acts.append(z)
+        a = ops.relu(ops.conv2d(x, params[f"{block}.weight"],
+                                params[f"{block}.bias"], cfg.kernel // 2))
         taps.append(a)
         if i + 1 < cfg.block_count:
             x, argmax = ops.maxpool2d(a)
@@ -161,11 +152,9 @@ def forward(params: ModelParams, cfg: EncoderConfig,
 
     resized = [ops.bilinear_resize(a, h, w) for a in taps]
     hyper = ops.concat_channels(resized)
-    logits = ops.conv2d(hyper, params["head.weight"], params["head.bias"],
-                        _HEAD_SPEC)
+    logits = ops.conv2d(hyper, params["head.weight"], params["head.bias"], 0)
     probs = ops.sigmoid(logits)
-    cache = ForwardCache(image, block_inputs, pre_acts, taps, pool_argmax,
-                         hyper, probs)
+    cache = ForwardCache(block_inputs, taps, pool_argmax, hyper, probs)
     return probs, cache
 
 
@@ -185,20 +174,20 @@ def backward(params: ModelParams, cfg: EncoderConfig, cache: ForwardCache,
     g_logits = ops.sigmoid_backward(cache.probs, grad_probs)
     grads = dict.fromkeys(params)
     g_hyper, grads["head.weight"], grads["head.bias"] = ops.conv2d_backward(
-        cache.hypercolumn, params["head.weight"], _HEAD_SPEC, g_logits)
+        cache.hypercolumn, params["head.weight"], 0, g_logits)
     g_resized = ops.split_channels(g_hyper, list(cfg.channels))
 
-    spec = cfg.conv_spec()
     g_from_pool: np.ndarray | None = None
     for i in reversed(range(cfg.block_count)):
         tap = cache.taps[i]
         g_tap = ops.bilinear_resize_backward(g_resized[i], tap.shape[1], tap.shape[2])
         if g_from_pool is not None:
             g_tap = g_tap + g_from_pool
-        g_z = ops.relu_backward(cache.pre_acts[i], g_tap)
+        # relu(z) > 0 exactly where z > 0, so the tap masks like z.
+        g_z = ops.relu_backward(tap, g_tap)
         block = f"block{i + 1}"
         g_x, grads[f"{block}.weight"], grads[f"{block}.bias"] = ops.conv2d_backward(
-            cache.block_inputs[i], params[f"{block}.weight"], spec, g_z)
+            cache.block_inputs[i], params[f"{block}.weight"], cfg.kernel // 2, g_z)
         if i > 0:
             prev_tap = cache.taps[i - 1]
             g_from_pool = ops.maxpool2d_backward(cache.pool_argmax[i - 1], g_x,

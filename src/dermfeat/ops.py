@@ -3,14 +3,15 @@ operation the model needs (conv, pool, relu, sigmoid, bilinear resize,
 channel concat).
 
 All operations are pure functions over C-order float64 numpy arrays with
-layout [channels, height, width]. Backward passes return exact analytic
-gradients of sum(grad_output * forward(...)) and are verified against
-central finite differences in the test suite.
+layout [channels, height, width]. Geometry is read from the operands:
+convolutions slide one pixel at a time, take their kernel extents from
+the weights' shape and only the zero padding as an argument; pools take
+non-overlapping 2x2 windows. Backward passes return exact analytic gradients of
+sum(grad_output * forward(...)) and are verified against central finite
+differences in the test suite.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,44 +21,9 @@ def as_f64(x) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(x, dtype=np.float64))
 
 
-@dataclass(frozen=True)
-class ConvSpec:
-    """Convolution geometry: kernel extents, stride, symmetric zero padding."""
-
-    kernel_height: int
-    kernel_width: int
-    stride: int = 1
-    padding: int = 0
-
-    def __post_init__(self):
-        if self.kernel_height < 1 or self.kernel_width < 1:
-            raise ValueError(
-                f"conv kernel extents must be positive, got "
-                f"{self.kernel_height}x{self.kernel_width}"
-            )
-        if self.stride < 1:
-            raise ValueError(f"conv stride must be positive, got {self.stride}")
-        if self.padding < 0:
-            raise ValueError(f"conv padding must be non-negative, got {self.padding}")
-
-    def output_size(self, in_h: int, in_w: int) -> tuple[int, int]:
-        out_h = (in_h + 2 * self.padding - self.kernel_height) // self.stride + 1
-        out_w = (in_w + 2 * self.padding - self.kernel_width) // self.stride + 1
-        if out_h < 1:
-            raise ValueError(
-                f"conv output height {out_h} < 1 (input height {in_h}, "
-                f"kernel {self.kernel_height}, padding {self.padding})"
-            )
-        if out_w < 1:
-            raise ValueError(
-                f"conv output width {out_w} < 1 (input width {in_w}, "
-                f"kernel {self.kernel_width}, padding {self.padding})"
-            )
-        return out_h, out_w
-
-
-def _check_conv_shapes(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
-                       spec: ConvSpec) -> None:
+def _conv_output_size(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
+                      padding: int) -> tuple[int, int]:
+    """Check conv2d operand shapes; returns the output extents."""
     if x.ndim != 3:
         raise ValueError(f"conv2d input must be [C,H,W], got {x.ndim} dimensions")
     if weights.ndim != 4:
@@ -69,76 +35,81 @@ def _check_conv_shapes(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
             f"conv2d channel mismatch: input has {x.shape[0]} channels "
             f"but weights dim 1 is {weights.shape[1]}"
         )
-    if weights.shape[2] != spec.kernel_height:
-        raise ValueError(
-            f"conv2d weights dim 2 is {weights.shape[2]}, "
-            f"spec kernel_height is {spec.kernel_height}"
-        )
-    if weights.shape[3] != spec.kernel_width:
-        raise ValueError(
-            f"conv2d weights dim 3 is {weights.shape[3]}, "
-            f"spec kernel_width is {spec.kernel_width}"
-        )
     if bias.shape != (weights.shape[0],):
         raise ValueError(
             f"conv2d bias shape {bias.shape} does not match "
             f"{weights.shape[0]} output channels"
         )
+    if padding < 0:
+        raise ValueError(f"conv padding must be non-negative, got {padding}")
+    _, in_h, in_w = x.shape
+    _, _, kh, kw = weights.shape
+    out_h = in_h + 2 * padding - kh + 1
+    out_w = in_w + 2 * padding - kw + 1
+    if out_h < 1:
+        raise ValueError(
+            f"conv output height {out_h} < 1 (input height {in_h}, "
+            f"kernel {kh}, padding {padding})"
+        )
+    if out_w < 1:
+        raise ValueError(
+            f"conv output width {out_w} < 1 (input width {in_w}, "
+            f"kernel {kw}, padding {padding})"
+        )
+    return out_h, out_w
 
 
 def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
-           spec: ConvSpec) -> np.ndarray:
-    """2D cross-correlation of x [C_in,H,W] with weights [C_out,C_in,kh,kw].
+           padding: int) -> np.ndarray:
+    """2D cross-correlation of x [C_in,H,W] with weights [C_out,C_in,kh,kw]
+    at every offset, after zero-padding x by `padding` on every side.
 
     Each output element is bias[o] plus the sum over the C_in x kh x kw
-    window of elementwise products at the strided position.
+    window of elementwise products.
     """
     x = as_f64(x)
     weights = as_f64(weights)
     bias = as_f64(bias)
-    _check_conv_shapes(x, weights, bias, spec)
-    _, in_h, in_w = x.shape
-    out_h, out_w = spec.output_size(in_h, in_w)
+    out_h, out_w = _conv_output_size(x, weights, bias, padding)
 
-    p, s = spec.padding, spec.stride
+    p = padding
     xp = np.pad(x, ((0, 0), (p, p), (p, p))) if p else x
     out = np.zeros((weights.shape[0], out_h, out_w))
-    for ki in range(spec.kernel_height):
-        for kj in range(spec.kernel_width):
-            patch = xp[:, ki:ki + s * (out_h - 1) + 1:s,
-                       kj:kj + s * (out_w - 1) + 1:s]
+    for ki in range(weights.shape[2]):
+        for kj in range(weights.shape[3]):
+            patch = xp[:, ki:ki + out_h, kj:kj + out_w]
             out += np.einsum("oc,chw->ohw", weights[:, :, ki, kj], patch)
     out += bias[:, None, None]
     return out
 
 
-def conv2d_backward(x: np.ndarray, weights: np.ndarray, spec: ConvSpec,
+def conv2d_backward(x: np.ndarray, weights: np.ndarray, padding: int,
                     grad_output: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of sum(grad_output * conv2d(x, weights, bias, spec)).
+    """Gradients of sum(grad_output * conv2d(x, weights, bias, padding)).
 
     Returns (grad_input, grad_weights, grad_bias).
     """
     x = as_f64(x)
     weights = as_f64(weights)
     grad_output = as_f64(grad_output)
-    _check_conv_shapes(x, weights, np.zeros(weights.shape[0]), spec)
-    _, in_h, in_w = x.shape
-    out_h, out_w = spec.output_size(in_h, in_w)
+    out_h, out_w = _conv_output_size(x, weights, np.zeros(weights.shape[0]),
+                                     padding)
     if grad_output.shape != (weights.shape[0], out_h, out_w):
         raise ValueError(
             f"conv2d_backward grad_output shape {grad_output.shape} does not "
             f"match output shape {(weights.shape[0], out_h, out_w)}"
         )
 
-    p, s = spec.padding, spec.stride
+    p = padding
+    _, in_h, in_w = x.shape
     xp = np.pad(x, ((0, 0), (p, p), (p, p))) if p else x
     grad_xp = np.zeros_like(xp)
     grad_w = np.zeros_like(weights)
-    for ki in range(spec.kernel_height):
-        for kj in range(spec.kernel_width):
-            rows = slice(ki, ki + s * (out_h - 1) + 1, s)
-            cols = slice(kj, kj + s * (out_w - 1) + 1, s)
+    for ki in range(weights.shape[2]):
+        for kj in range(weights.shape[3]):
+            rows = slice(ki, ki + out_h)
+            cols = slice(kj, kj + out_w)
             grad_w[:, :, ki, kj] = np.einsum("ohw,chw->oc", grad_output,
                                              xp[:, rows, cols])
             grad_xp[:, rows, cols] += np.einsum(
@@ -149,7 +120,8 @@ def conv2d_backward(x: np.ndarray, weights: np.ndarray, spec: ConvSpec,
 
 
 def maxpool2d(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2x2 max pooling with stride 2 over [C,H,W]; H and W must be even.
+    """2x2 max pooling over non-overlapping windows of [C,H,W]; H and W
+    must be even.
 
     Returns (output, argmax) where argmax holds, per output element, the
     flat row-major index into x of the selected input. Ties break toward
@@ -216,12 +188,9 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     Outputs are strictly inside (0, 1) for finite inputs.
     """
     x = as_f64(x)
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp(-|v|) never overflows: 1/(1+e) for v >= 0 and e/(1+e) below.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid_backward(probs: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
@@ -258,8 +227,13 @@ def _resize_axis_coords(n_in: int, n_out: int
 def _lerp_last_axis(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                     frac: np.ndarray) -> np.ndarray:
     a = x[..., lo]
-    # a + frac*(b - a): exact for constant inputs and at frac == 0.
-    return a + frac * (x[..., hi] - a)
+    # a + frac*(b - a): exact for constant inputs and at frac == 0. In
+    # place on the gathered b: two output-sized arrays instead of five.
+    out = x[..., hi]
+    out -= a
+    out *= frac
+    out += a
+    return out
 
 
 def _lerp_last_axis_backward(grad: np.ndarray, lo: np.ndarray, hi: np.ndarray,

@@ -27,7 +27,6 @@ from .superpixels import labels_to_mask
 class TrainConfig:
     batch_size: int = 12
     epochs: int = 5
-    image_size: int = 64
     learning_rate: float = 0.06
     momentum: float = 0.9
     seed: int = 0
@@ -43,10 +42,6 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        m = self.encoder.size_multiple
-        if self.image_size < m or self.image_size % m:
-            raise ValueError(f"image_size {self.image_size} must be a positive "
-                             f"multiple of {m}")
 
 
 @dataclass
@@ -63,16 +58,11 @@ class TrainReport:
     def losses(self) -> list[float]:
         return [e.mean_batch_loss for e in self.epoch_stats]
 
-    def to_json_dict(self, include_wall_time: bool = False) -> dict:
-        """Report payload; wall times are excluded by default so report
-        files stay byte-reproducible across reruns."""
-        epochs = []
-        for e in self.epoch_stats:
-            rec: dict = {"epoch": e.epoch, "mean_batch_loss": e.mean_batch_loss}
-            if include_wall_time:
-                rec["wall_time_s"] = e.wall_time_s
-            epochs.append(rec)
-        return {"epochs": epochs}
+    def to_json_dict(self) -> dict:
+        """Report payload without wall times, so report files stay
+        byte-reproducible across reruns."""
+        return {"epochs": [{"epoch": e.epoch, "mean_batch_loss": e.mean_batch_loss}
+                           for e in self.epoch_stats]}
 
 
 def _check_finite(epoch: int, batch: int, tensors: dict) -> None:
@@ -83,18 +73,27 @@ def _check_finite(epoch: int, batch: int, tensors: dict) -> None:
                                      f"batch {batch}: {name} is not finite")
 
 
+# Divergence makes NaNs (inf - inf) inside the ops; each one reaches a
+# tensor that _check_finite names, so numpy's warning would only be noise.
+@np.errstate(invalid="ignore")
 def train(dataset: Sequence[Sample],
           cfg: TrainConfig) -> tuple[ModelParams, TrainReport]:
     """Run the full training loop; returns (params, per-epoch report)."""
     cfg.validate()
     if not dataset:
         raise ValueError("training dataset is empty")
-    expect = (cfg.encoder.in_channels, cfg.image_size, cfg.image_size)
+    # A batch stacks its predictions, so every image needs the same shape.
+    shape = dataset[0].image.shape
     truths = []
     for sample in dataset:
-        if sample.image.shape != expect:
-            raise ValueError(f"sample {sample.name!r} has image shape "
-                             f"{sample.image.shape}, expected {expect}")
+        try:
+            cfg.encoder.check_image(sample.image)
+        except ValueError as exc:
+            raise ValueError(f"sample {sample.name!r}: {exc}") from None
+        if sample.image.shape != shape:
+            raise ValueError(f"sample {sample.name!r}: image shape "
+                             f"{sample.image.shape} differs from the first "
+                             f"sample's {shape}")
         truths.append(labels_to_mask(sample.smap, sample.labels))
 
     params = model.init_params(cfg.encoder, cfg.seed)

@@ -133,7 +133,7 @@ def test_c5_single_image_overfit(desk_dataset):
     truth = labels_to_mask(sample.smap, sample.labels)
 
     t0 = time.perf_counter()
-    cfg = TrainConfig(batch_size=1, epochs=200, image_size=64, seed=7,
+    cfg = TrainConfig(batch_size=1, epochs=200, seed=7,
                       encoder=EncoderConfig())
     params, rep = train([sample], cfg)
     probs = predict(params, cfg.encoder, sample.image)
@@ -151,7 +151,7 @@ def test_c5_single_image_overfit(desk_dataset):
 def test_c6_end_to_end_learning(desk_dataset):
     train_samples, test_samples = desk_dataset
     t0 = time.perf_counter()
-    cfg = TrainConfig(batch_size=8, epochs=5, image_size=64, seed=7,
+    cfg = TrainConfig(batch_size=8, epochs=5, seed=7,
                       encoder=EncoderConfig())
     params, rep = train(train_samples, cfg)
     predictions = [mask_to_scores(s.smap, predict(params, cfg.encoder, s.image))

@@ -1,10 +1,15 @@
 """CLI behavior: config precedence, exit codes, reports, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dermfeat
 from dermfeat.cli import main
 
 
@@ -129,6 +134,27 @@ class TestTrain:
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
         assert read_tree(tmp_path / "a") == read_tree(tmp_path / "b")
 
+    def test_divergence_names_epoch_and_batch_without_numpy_warning(
+            self, tmp_path):
+        # A child process shows stderr as a user sees it, with numpy's
+        # default warning filters rather than the test suite's.
+        src = str(Path(dermfeat.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        cli = [sys.executable, "-m", "dermfeat.cli"]
+        ds = tmp_path / "ds"
+        subprocess.run(cli + ["gen-data", "--out", str(ds), "--count", "6",
+                              "--size", "16", "--cell", "4", "--seed", "1"],
+                       env=env, check=True, capture_output=True)
+        done = subprocess.run(
+            cli + ["train", "--data", str(ds / "manifest.json"),
+                   "--out", str(tmp_path / "run"), "--lr", "1e300",
+                   "--channels", "4,8", "--batch", "3"],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == 1
+        assert done.stderr == ("error: training diverged at epoch 1, batch 2: "
+                               "prediction for 'sample_00004.ppm' is not "
+                               "finite\n")
+
 
 class TestPredict:
     def test_scores_shape_and_range(self, capsys, small_dataset, trained,
@@ -153,6 +179,11 @@ class TestPredict:
         assert code == 2
         assert "w.hfcn" in err
 
+    def test_seed_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_malformed_weights_exit_1_naming_path(self, capsys, small_dataset,
                                                    trained, tmp_path):

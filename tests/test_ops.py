@@ -5,16 +5,15 @@ import pytest
 
 from dermfeat import ops
 from dermfeat.gradcheck import gradcheck
-from dermfeat.ops import ConvSpec
 
 
-def conv2d_oracle(x, w, b, spec):
-    """Direct nested-loop convolution, independent of the production path."""
+def conv2d_oracle(x, w, b, p):
+    """Direct nested-loop convolution at every offset, zero padding p,
+    independent of the production path."""
     c_out, c_in, kh, kw = w.shape
-    p, s = spec.padding, spec.stride
     xp = np.pad(x, ((0, 0), (p, p), (p, p)))
-    out_h = (x.shape[1] + 2 * p - kh) // s + 1
-    out_w = (x.shape[2] + 2 * p - kw) // s + 1
+    out_h = x.shape[1] + 2 * p - kh + 1
+    out_w = x.shape[2] + 2 * p - kw + 1
     out = np.zeros((c_out, out_h, out_w))
     for o in range(c_out):
         for i in range(out_h):
@@ -23,7 +22,7 @@ def conv2d_oracle(x, w, b, spec):
                 for c in range(c_in):
                     for ki in range(kh):
                         for kj in range(kw):
-                            acc += w[o, c, ki, kj] * xp[c, i * s + ki, j * s + kj]
+                            acc += w[o, c, ki, kj] * xp[c, i + ki, j + kj]
                 out[o, i, j] = acc
     return out
 
@@ -51,29 +50,25 @@ class TestConv2d:
         x = np.array([[[1.0, 2, 3], [4, 5, 6], [7, 8, 9]]])
         w = np.ones((1, 1, 2, 2))
         b = np.zeros(1)
-        spec = ConvSpec(2, 2)
         expected = np.array([[[12.0, 16.0], [24.0, 28.0]]])
-        np.testing.assert_array_equal(conv2d_oracle(x, w, b, spec), expected)
-        np.testing.assert_array_equal(ops.conv2d(x, w, b, spec), expected)
+        np.testing.assert_array_equal(conv2d_oracle(x, w, b, 0), expected)
+        np.testing.assert_array_equal(ops.conv2d(x, w, b, 0), expected)
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(3)
-        for spec in (ConvSpec(3, 3, stride=1, padding=1),
-                     ConvSpec(2, 3, stride=2, padding=0),
-                     ConvSpec(1, 1, stride=1, padding=0),
-                     ConvSpec(3, 3, stride=1, padding=2)):
+        for kh, kw, padding in ((3, 3, 1), (2, 3, 0), (1, 1, 0), (3, 3, 2)):
             x = rng.normal(size=(3, 6, 8))
-            w = rng.normal(size=(2, 3, spec.kernel_height, spec.kernel_width))
+            w = rng.normal(size=(2, 3, kh, kw))
             b = rng.normal(size=2)
-            np.testing.assert_allclose(ops.conv2d(x, w, b, spec),
-                                       conv2d_oracle(x, w, b, spec),
+            np.testing.assert_allclose(ops.conv2d(x, w, b, padding),
+                                       conv2d_oracle(x, w, b, padding),
                                        rtol=1e-13, atol=1e-13)
 
     def test_identity_kernel_returns_input(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(1, 5, 7))
         w = np.ones((1, 1, 1, 1))
-        out = ops.conv2d(x, w, np.zeros(1), ConvSpec(1, 1))
+        out = ops.conv2d(x, w, np.zeros(1), 0)
         np.testing.assert_array_equal(out, x)
 
     def test_zero_input_gives_bias(self):
@@ -81,7 +76,7 @@ class TestConv2d:
         rng = np.random.default_rng(5)
         w = rng.normal(size=(3, 2, 3, 3))
         b = np.array([1.5, -2.0, 0.25])
-        out = ops.conv2d(x, w, b, ConvSpec(3, 3, padding=1))
+        out = ops.conv2d(x, w, b, 1)
         for o in range(3):
             np.testing.assert_array_equal(out[o], np.full((4, 4), b[o]))
 
@@ -91,22 +86,26 @@ class TestConv2d:
         y = rng.normal(size=(2, 5, 5))
         w = rng.normal(size=(3, 2, 3, 3))
         b = np.zeros(3)
-        spec = ConvSpec(3, 3, padding=1)
         a, c = 1.7, -0.4
-        lhs = ops.conv2d(a * x + c * y, w, b, spec)
-        rhs = a * ops.conv2d(x, w, b, spec) + c * ops.conv2d(y, w, b, spec)
+        lhs = ops.conv2d(a * x + c * y, w, b, 1)
+        rhs = a * ops.conv2d(x, w, b, 1) + c * ops.conv2d(y, w, b, 1)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_shape_errors_name_dimension(self):
         x = np.zeros((3, 4, 4))
         w = np.zeros((2, 4, 3, 3))
         with pytest.raises(ValueError, match="dim 1"):
-            ops.conv2d(x, w, np.zeros(2), ConvSpec(3, 3))
+            ops.conv2d(x, w, np.zeros(2), 0)
         with pytest.raises(ValueError, match="bias"):
-            ops.conv2d(x, np.zeros((2, 3, 3, 3)), np.zeros(5), ConvSpec(3, 3))
+            ops.conv2d(x, np.zeros((2, 3, 3, 3)), np.zeros(5), 0)
         with pytest.raises(ValueError, match="output height"):
             ops.conv2d(np.zeros((1, 2, 8)), np.zeros((1, 1, 3, 3)),
-                       np.zeros(1), ConvSpec(3, 3))
+                       np.zeros(1), 0)
+        with pytest.raises(ValueError, match="output width"):
+            ops.conv2d(np.zeros((1, 8, 2)), np.zeros((1, 1, 3, 3)),
+                       np.zeros(1), 0)
+        with pytest.raises(ValueError, match="padding"):
+            ops.conv2d(x, np.zeros((2, 3, 3, 3)), np.zeros(2), -1)
 
 
 class TestConv2dBackward:
@@ -115,7 +114,7 @@ class TestConv2dBackward:
         x = rng.normal(size=(1, 4, 4))
         w = np.ones((1, 1, 1, 1))
         g = rng.normal(size=(1, 4, 4))
-        gx, gw, gb = ops.conv2d_backward(x, w, ConvSpec(1, 1), g)
+        gx, gw, gb = ops.conv2d_backward(x, w, 0, g)
         np.testing.assert_array_equal(gx, g)
 
     def test_grad_bias_is_per_channel_sum(self):
@@ -123,7 +122,7 @@ class TestConv2dBackward:
         x = rng.normal(size=(2, 4, 4))
         w = rng.normal(size=(3, 2, 3, 3))
         g = rng.normal(size=(3, 4, 4))
-        _, _, gb = ops.conv2d_backward(x, w, ConvSpec(3, 3, padding=1), g)
+        _, _, gb = ops.conv2d_backward(x, w, 1, g)
         np.testing.assert_allclose(gb, g.sum(axis=(1, 2)), rtol=1e-13)
 
     def test_matches_finite_differences(self):
@@ -131,17 +130,16 @@ class TestConv2dBackward:
         x = rng.normal(size=(1, 4, 4))
         w = rng.normal(size=(2, 1, 3, 3))
         b = rng.normal(size=2)
-        spec = ConvSpec(3, 3, padding=1)
         g = rng.normal(size=(2, 4, 4))
-        gx, gw, gb = ops.conv2d_backward(x, w, spec, g)
+        gx, gw, gb = ops.conv2d_backward(x, w, 1, g)
 
-        rep = gradcheck(lambda v: float((g * ops.conv2d(v, w, b, spec)).sum()),
+        rep = gradcheck(lambda v: float((g * ops.conv2d(v, w, b, 1)).sum()),
                         x, gx, step=1e-5, tolerance=1e-6)
         assert rep.passed, rep.summary()
-        rep = gradcheck(lambda v: float((g * ops.conv2d(x, v, b, spec)).sum()),
+        rep = gradcheck(lambda v: float((g * ops.conv2d(x, v, b, 1)).sum()),
                         w, gw, step=1e-5, tolerance=1e-6)
         assert rep.passed, rep.summary()
-        rep = gradcheck(lambda v: float((g * ops.conv2d(x, w, v, spec)).sum()),
+        rep = gradcheck(lambda v: float((g * ops.conv2d(x, w, v, 1)).sum()),
                         b, gb, step=1e-5, tolerance=1e-6)
         assert rep.passed, rep.summary()
 
@@ -149,7 +147,7 @@ class TestConv2dBackward:
         x = np.zeros((1, 4, 4))
         w = np.zeros((1, 1, 3, 3))
         with pytest.raises(ValueError, match="grad_output"):
-            ops.conv2d_backward(x, w, ConvSpec(3, 3), np.zeros((1, 4, 4)))
+            ops.conv2d_backward(x, w, 0, np.zeros((1, 4, 4)))
 
 
 class TestMaxPool:
@@ -246,6 +244,21 @@ class TestSigmoid:
         out = ops.sigmoid(v)
         assert (out > 0.0).all() and (out < 1.0).all()
 
+    def test_bit_identical_to_two_branch_formula(self):
+        def two_branch(x):
+            out = np.empty_like(x)
+            pos = x >= 0.0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            e = np.exp(x[~pos])
+            out[~pos] = e / (1.0 + e)
+            return out
+
+        rng = np.random.default_rng(21)
+        edges = [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf]
+        x = np.concatenate([edges] + [scale * rng.normal(size=1000)
+                                      for scale in (1.0, 30.0, 1000.0)])
+        assert ops.sigmoid(x).tobytes() == two_branch(x).tobytes()
+
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(3, 4))
@@ -268,6 +281,19 @@ class TestBilinearResize:
         x = np.array([[[0.0, 1.0], [2.0, 3.0]]])
         expected = np.array([[[0.0, 0.5, 1.0], [1.0, 1.5, 2.0], [2.0, 2.5, 3.0]]])
         np.testing.assert_array_equal(ops.bilinear_resize(x, 3, 3), expected)
+
+    def test_bit_identical_to_out_of_place_lerp(self):
+        def lerp(x, n_out):
+            lo, hi, frac = ops._resize_axis_coords(x.shape[-1], n_out)
+            a = x[..., lo]
+            return a + frac * (x[..., hi] - a)
+
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(3, 4, 5)) * 10.0 ** rng.integers(-3, 4, (3, 4, 5))
+        for oh, ow in ((16, 16), (7, 11), (2, 3), (4, 5)):
+            rows = lerp(x.transpose(0, 2, 1), oh).transpose(0, 2, 1)
+            want = lerp(rows, ow)
+            assert ops.bilinear_resize(x, oh, ow).tobytes() == want.tobytes()
 
     def test_constant_preserved_exactly(self):
         x = np.full((3, 4, 5), 0.3)
