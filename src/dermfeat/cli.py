@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,33 +26,85 @@ class ConfigError(Exception):
     """Invalid configuration or missing input file (exit code 2)."""
 
 
-_DEFAULTS = {
-    "gen-data": {
-        "out": None, "count": 200, "size": 64, "cell": 8, "seed": 0,
-        "split": "train", "max_regions": 3,
-        "prevalence": [0.5, 0.5, 0.5, 0.5],
-        "region_radius_frac": [0.12, 0.30],
-    },
-    "train": {
-        "data": None, "out": None, "epochs": 5, "batch": 12, "lr": 0.06,
-        "momentum": 0.9, "seed": 0, "eps": 1.0,
-        "channels": [8, 16, 32, 64, 64],
-    },
-    "predict": {"weights": None, "data": None, "out": None},
-    "eval": {"pred": None, "data": None, "out": None},
-    "gradcheck": {
-        "tolerance": 1e-5, "step": 1e-5, "instances": 5, "seed": 0,
-        "out": None,
-    },
+def finite_float(text: str) -> float:
+    """float() that rejects nan and +-inf, so none reaches a config echo."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def _comma_list(item):
+    """Parser for comma-separated item values, returned as a tuple."""
+    def parse(text: str) -> tuple:
+        return tuple(item(v) for v in text.split(","))
+    parse.__name__ = f"comma-separated {item.__name__}"  # argparse's message
+    return parse
+
+
+def _config_value(path: Path, key: str, value, default, parse):
+    """Parse a config value as its flag text: str(value) for a scalar, the
+    items joined by commas for a list. null only where the default is None."""
+    if value is None and default is None:
+        return None
+    is_list = isinstance(default, tuple)
+    try:
+        if not isinstance(value, list if is_list else (str, int, float)):
+            raise ValueError("expected a list" if is_list else "expected one value")
+        return parse(",".join(map(str, value)) if is_list else str(value))
+    except ValueError as exc:
+        raise ConfigError(f"config file {path}: bad {key!r} value "
+                          f"{json.dumps(value)}: {exc}") from None
+
+
+# subcommand -> (help, {key: (default, parser, help)}). Each key is the
+# config-file key and, with "_" as "-", the flag; config values go through
+# the same parser as flag text, and a tuple default marks a list option.
+_OPTIONS = {
+    "gen-data": ("generate a synthetic dataset", {
+        "out": (None, str, "output directory"),
+        "count": (200, int, "number of samples"),
+        "size": (64, int, "image extent (square)"),
+        "cell": (8, int, "grid superpixel cell size"),
+        "seed": (0, int, None),
+        "split": ("train", str, "split tag recorded in the manifest"),
+        "max_regions": (3, int, None),
+        "prevalence": ((0.5, 0.5, 0.5, 0.5), _comma_list(finite_float),
+                       "four comma-separated per-class prevalences"),
+        "region_radius_frac": ((0.12, 0.30), _comma_list(finite_float),
+                               "smallest and largest region radius as "
+                               "fractions of the image size"),
+    }),
+    "train": ("train on a dataset manifest", {
+        "data": (None, str, "manifest path"),
+        "out": (None, str, "output directory"),
+        "epochs": (5, int, None),
+        "batch": (12, int, None),
+        "lr": (0.06, finite_float, None),
+        "momentum": (0.9, finite_float, None),
+        "seed": (0, int, None),
+        "eps": (1.0, finite_float, None),
+        "channels": ((8, 16, 32, 64, 64), _comma_list(int),
+                     "encoder channels per block, comma-separated"),
+    }),
+    "predict": ("write superpixel scores per image", {
+        "weights": (None, str, "weights file"),
+        "data": (None, str, "manifest path"),
+        "out": (None, str, "output directory"),
+    }),
+    "eval": ("superpixel-level AUROC per class", {
+        "pred": (None, str, "predictions JSON from the predict command"),
+        "data": (None, str, "manifest path with ground-truth labels"),
+        "out": (None, str, "output directory"),
+    }),
+    "gradcheck": ("finite-difference gradient checks", {
+        "tolerance": (1e-5, finite_float, None),
+        "step": (1e-5, finite_float, None),
+        "instances": (5, int, None),
+        "seed": (0, int, None),
+        "out": (None, str, "optional directory for the JSON report"),
+    }),
 }
-
-
-def _comma_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",")]
-
-
-def _comma_ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,86 +112,41 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dermfeat",
         description="Clinical dermoscopic feature detection pipeline")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p):
+    for name, (help_text, options) in _OPTIONS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key, (_, parse, help_opt) in options.items():
+            p.add_argument("--" + key.replace("_", "-"), type=parse, help=help_opt)
         p.add_argument("--config", help="JSON config file; flags override it")
-
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--count", type=int, help="number of samples")
-    p.add_argument("--size", type=int, help="image extent (square)")
-    p.add_argument("--cell", type=int, help="grid superpixel cell size")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--split", help="split tag recorded in the manifest")
-    p.add_argument("--max-regions", dest="max_regions", type=int)
-    p.add_argument("--prevalence", type=_comma_floats,
-                   help="four comma-separated per-class prevalences")
-    add_common(p)
-
-    p = sub.add_parser("train", help="train on a dataset manifest")
-    p.add_argument("--data", help="manifest path")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--channels", type=_comma_ints,
-                   help="encoder channels per block, comma-separated")
-    add_common(p)
-
-    p = sub.add_parser("predict", help="write superpixel scores per image")
-    p.add_argument("--weights", help="weights file")
-    p.add_argument("--data", help="manifest path")
-    p.add_argument("--out", help="output directory")
-    add_common(p)
-
-    p = sub.add_parser("eval", help="superpixel-level AUROC per class")
-    p.add_argument("--pred", help="predictions JSON from the predict command")
-    p.add_argument("--data", help="manifest path with ground-truth labels")
-    p.add_argument("--out", help="output directory")
-    add_common(p)
-
-    p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--step", type=float)
-    p.add_argument("--instances", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="optional directory for the JSON report")
-    add_common(p)
     return parser
 
 
 def _effective_config(name: str, args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS[name])
+    options = _OPTIONS[name][1]
+    cfg = {key: default for key, (default, _, _) in options.items()}
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
+        path = _require_file(args.config, "config file")
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 file_cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # UTF-8 too
                 raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config file {path} is not a JSON object")
         for key, value in file_cfg.items():
             if key == "subcommand":  # echoed configs carry this; ignore it
                 continue
             if key not in cfg:
                 raise ConfigError(f"config file {path} has unknown key {key!r} "
                                   f"for {name}")
-            cfg[key] = value
-    for key in cfg:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
+            cfg[key] = _config_value(path, key, value, *options[key][:2])
+    cfg.update((k, v) for k, v in vars(args).items() if k in cfg and v is not None)
     return cfg
 
 
 def _require(cfg: dict, key: str, name: str) -> str:
     if not cfg.get(key):
         raise ConfigError(f"{name} requires --{key}")
-    return str(cfg[key])
+    return cfg[key]
 
 
 def _require_file(path_str: str, what: str) -> Path:
@@ -163,24 +171,20 @@ def _write_report(path: Path, payload) -> None:
 def cmd_gen_data(cfg: dict) -> int:
     out = _require(cfg, "out", "gen-data")
     spec = data.SynthSpec(
-        image_size=int(cfg["size"]), cell=int(cfg["cell"]),
-        prevalence=tuple(float(p) for p in cfg["prevalence"]),
-        seed=int(cfg["seed"]), max_regions=int(cfg["max_regions"]),
-        region_radius_frac=tuple(float(r) for r in cfg["region_radius_frac"]))
+        image_size=cfg["size"], cell=cfg["cell"], prevalence=cfg["prevalence"],
+        seed=cfg["seed"], max_regions=cfg["max_regions"],
+        region_radius_frac=cfg["region_radius_frac"])
     try:
         spec.validate()
-        if int(cfg["count"]) < 1:
+        if cfg["count"] < 1:
             raise ValueError(f"count must be >= 1, got {cfg['count']}")
     except ValueError as exc:
         raise ConfigError(str(exc))
 
-    manifest = data.generate(spec, int(cfg["count"]), out, split=str(cfg["split"]))
+    manifest = data.generate(spec, cfg["count"], out, split=cfg["split"])
     samples = data.load(Path(out) / "manifest.json")
-    positives = np.zeros(4, dtype=np.int64)
-    total = 0
-    for s in samples:
-        positives += s.labels.astype(np.int64).sum(axis=0)
-        total += s.labels.shape[0]
+    labels = np.concatenate([s.labels for s in samples])
+    positives, total = labels.sum(axis=0), labels.shape[0]
     print(f"wrote {len(manifest.samples)} samples to {out}")
     print(f"{'class':<18} {'positive superpixels':>20} {'of':>8}")
     for c, name in enumerate(CLASS_NAMES):
@@ -196,13 +200,12 @@ def cmd_train(cfg: dict) -> int:
     samples = _load_dataset(cfg, "train")
     out = Path(_require(cfg, "out", "train"))
 
-    encoder = EncoderConfig(channels=tuple(int(c) for c in cfg["channels"]),
-                            in_channels=samples[0].image.shape[0])
-    tcfg = TrainConfig(batch_size=int(cfg["batch"]), epochs=int(cfg["epochs"]),
-                       learning_rate=float(cfg["lr"]),
-                       momentum=float(cfg["momentum"]), seed=int(cfg["seed"]),
-                       eps=float(cfg["eps"]), encoder=encoder)
     try:
+        encoder = EncoderConfig(channels=cfg["channels"],
+                                in_channels=samples[0].image.shape[0])
+        tcfg = TrainConfig(batch_size=cfg["batch"], epochs=cfg["epochs"],
+                           learning_rate=cfg["lr"], momentum=cfg["momentum"],
+                           seed=cfg["seed"], eps=cfg["eps"], encoder=encoder)
         tcfg.validate()
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -247,17 +250,19 @@ def cmd_eval(cfg: dict) -> int:
     out = Path(_require(cfg, "out", "eval"))
 
     with open(pred_path, "r", encoding="utf-8") as fh:
-        entries = json.load(fh)
-    by_image = {e["image"]: np.asarray(e["scores"], dtype=np.float64)
-                for e in entries}
-    predictions, truths, ids = [], [], []
+        try:
+            by_image = {e["image"]: np.asarray(e["scores"], dtype=np.float64)
+                        for e in json.load(fh)}
+        except KeyError as exc:
+            raise ValueError(f"{pred_path}: prediction lacks key {exc}") from None
+        except (TypeError, ValueError) as exc:  # JSON too
+            raise ValueError(f"{pred_path}: malformed predictions: {exc}") from None
     for s in samples:
         if s.name not in by_image:
-            raise RuntimeError(f"prediction missing for image {s.name}")
-        predictions.append(by_image[s.name])
-        truths.append(s.labels)
-        ids.append(s.name)
-    result = metrics.evaluate(predictions, truths, sample_ids=ids)
+            raise RuntimeError(f"{pred_path}: prediction missing for image {s.name}")
+    result = metrics.evaluate([by_image[s.name] for s in samples],
+                              [s.labels for s in samples],
+                              sample_ids=[s.name for s in samples])
 
     out.mkdir(parents=True, exist_ok=True)
     _write_report(out / "eval_report.json", result.to_json_dict())
@@ -271,29 +276,23 @@ def cmd_eval(cfg: dict) -> int:
 
 
 def cmd_gradcheck(cfg: dict) -> int:
-    try:
-        if int(cfg["instances"]) < 1:
-            raise ValueError(f"instances must be >= 1, got {cfg['instances']}")
-        if float(cfg["step"]) <= 0:
-            raise ValueError(f"step must be positive, got {cfg['step']}")
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    if cfg["instances"] < 1:
+        raise ConfigError(f"instances must be >= 1, got {cfg['instances']}")
+    if cfg["step"] <= 0:
+        raise ConfigError(f"step must be positive, got {cfg['step']}")
 
-    results = checks.run_suite(int(cfg["instances"]), seed=int(cfg["seed"]),
-                               step=float(cfg["step"]),
-                               tolerance=float(cfg["tolerance"]))
+    results = checks.run_suite(cfg["instances"], seed=cfg["seed"],
+                               step=cfg["step"], tolerance=cfg["tolerance"])
     print(f"{'check':<18} {'max rel error':>14} {'worst index':>16} {'status':>8}")
-    all_passed = True
     for name, report in results:
         status = "pass" if report.passed else "FAIL"
-        all_passed &= report.passed
         print(f"{name:<18} {report.max_rel_error:>14.3e} "
               f"{str(report.worst_index):>16} {status:>8}")
     if cfg["out"]:
         out = Path(cfg["out"])
         out.mkdir(parents=True, exist_ok=True)
         payload = {
-            "tolerance": float(cfg["tolerance"]), "step": float(cfg["step"]),
+            "tolerance": cfg["tolerance"], "step": cfg["step"],
             "checks": [
                 {"name": name, "max_rel_error": r.max_rel_error,
                  "worst_index": list(r.worst_index), "passed": r.passed}
@@ -301,7 +300,7 @@ def cmd_gradcheck(cfg: dict) -> int:
             ],
         }
         _write_report(out / "gradcheck_report.json", payload)
-    if not all_passed:
+    if not all(r.passed for _, r in results):
         print("gradient check FAILED", file=sys.stderr)
         return 1
     return 0

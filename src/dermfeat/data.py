@@ -79,6 +79,9 @@ class SynthSpec:
             raise ValueError(f"prevalences must lie in [0,1], got {self.prevalence}")
         if self.max_regions < 0:
             raise ValueError(f"max_regions must be >= 0, got {self.max_regions}")
+        if len(self.region_radius_frac) != 2:
+            raise ValueError(f"region_radius_frac needs 2 entries, got "
+                             f"{len(self.region_radius_frac)}")
         lo, hi = self.region_radius_frac
         if not 0.0 < lo <= hi:
             raise ValueError(f"region radius fractions must be increasing and "
@@ -196,14 +199,20 @@ def write_manifest(manifest: DatasetManifest, path: str | os.PathLike) -> None:
 def read_manifest(path: str | os.PathLike) -> DatasetManifest:
     spath = os.fspath(path)
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    for key in ("split", "image_size", "seed", "samples"):
-        if key not in doc:
-            raise ValueError(f"{spath}: manifest missing key {key!r}")
-    samples = [ManifestEntry(image=s["image"], superpixels=s["superpixels"],
-                             labels=s["labels"]) for s in doc["samples"]]
-    return DatasetManifest(split=doc["split"], image_size=int(doc["image_size"]),
-                           seed=int(doc["seed"]), samples=samples)
+        try:
+            doc = json.load(fh)
+            samples = [ManifestEntry(image=s["image"], superpixels=s["superpixels"],
+                                     labels=s["labels"]) for s in doc["samples"]]
+            manifest = DatasetManifest(
+                split=doc["split"], image_size=int(doc["image_size"]),
+                seed=int(doc["seed"]), samples=samples)
+        except KeyError as exc:
+            raise ValueError(f"{spath}: manifest missing key {exc}") from None
+        except (TypeError, ValueError) as exc:  # JSON too
+            raise ValueError(f"{spath}: malformed manifest: {exc}") from None
+    if not samples:
+        raise ValueError(f"{spath}: manifest lists no samples")
+    return manifest
 
 
 def generate(spec: SynthSpec, count: int, out_dir: str | os.PathLike,

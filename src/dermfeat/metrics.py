@@ -47,8 +47,7 @@ def auroc(scores, labels) -> float:
     boundaries = np.flatnonzero(np.diff(sorted_scores) != 0.0) + 1
     starts = np.concatenate(([0], boundaries))
     ends = np.concatenate((boundaries, [scores.size]))
-    for s, e in zip(starts, ends):
-        ranks[order[s:e]] = 0.5 * (s + 1 + e)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
     u = ranks[pos].sum() - p * (p + 1) / 2.0
     return float(u / (p * n))
 

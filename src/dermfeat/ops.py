@@ -224,31 +224,32 @@ def _resize_axis_coords(n_in: int, n_out: int
     return lo, hi, src - lo
 
 
-def _lerp_last_axis(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                    frac: np.ndarray) -> np.ndarray:
-    a = x[..., lo]
+def _lerp(x: np.ndarray, axis: int, lo: np.ndarray, hi: np.ndarray,
+          frac: np.ndarray) -> np.ndarray:
+    a = x.take(lo, axis=axis)
     # a + frac*(b - a): exact for constant inputs and at frac == 0. In
     # place on the gathered b: two output-sized arrays instead of five.
-    out = x[..., hi]
+    # Gathering along the axis keeps the output C-contiguous.
+    out = x.take(hi, axis=axis)
     out -= a
-    out *= frac
+    out *= frac.reshape((-1,) + (1,) * (x.ndim - 1 - axis))
     out += a
     return out
 
 
-def _lerp_last_axis_backward(grad: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                             frac: np.ndarray, n_in: int) -> np.ndarray:
+def _lerp_backward(grad: np.ndarray, axis: int, lo: np.ndarray, hi: np.ndarray,
+                   frac: np.ndarray, n_in: int) -> np.ndarray:
     # Each target sums its lo products in increasing i, then its hi
     # products, starting from 0.0: the order and rounding of np.add.at,
     # without its per-element cost. Putting the axis first makes every
     # g[i] and out[j] one contiguous slab.
-    g = np.ascontiguousarray(np.moveaxis(grad, -1, 0))
+    g = np.ascontiguousarray(np.moveaxis(grad, axis, 0))
     out = np.zeros((n_in,) + g.shape[1:])
     for i, j in enumerate(lo):
         out[j] += g[i] * (1.0 - frac[i])
     for i, j in enumerate(hi):
         out[j] += g[i] * frac[i]
-    return np.moveaxis(out, 0, -1)
+    return np.moveaxis(out, 0, axis)
 
 
 def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -262,8 +263,7 @@ def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     _, h, w = x.shape
     rlo, rhi, rfrac = _resize_axis_coords(h, out_h)
     clo, chi, cfrac = _resize_axis_coords(w, out_w)
-    rows = _lerp_last_axis(x.transpose(0, 2, 1), rlo, rhi, rfrac)  # [C,w,out_h]
-    return _lerp_last_axis(rows.transpose(0, 2, 1), clo, chi, cfrac)
+    return _lerp(_lerp(x, 1, rlo, rhi, rfrac), 2, clo, chi, cfrac)
 
 
 def bilinear_resize_backward(grad_output: np.ndarray, in_h: int,
@@ -278,9 +278,8 @@ def bilinear_resize_backward(grad_output: np.ndarray, in_h: int,
     _, out_h, out_w = grad_output.shape
     rlo, rhi, rfrac = _resize_axis_coords(in_h, out_h)
     clo, chi, cfrac = _resize_axis_coords(in_w, out_w)
-    gc = _lerp_last_axis_backward(grad_output, clo, chi, cfrac, in_w)  # [C,out_h,w]
-    return _lerp_last_axis_backward(gc.transpose(0, 2, 1), rlo, rhi, rfrac,
-                                    in_h).transpose(0, 2, 1)
+    gc = _lerp_backward(grad_output, 2, clo, chi, cfrac, in_w)  # [C,out_h,w]
+    return _lerp_backward(gc, 1, rlo, rhi, rfrac, in_h)
 
 
 def concat_channels(inputs: list[np.ndarray]) -> np.ndarray:

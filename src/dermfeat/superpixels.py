@@ -162,7 +162,7 @@ def write_labels(labels: np.ndarray, path: str | os.PathLike) -> None:
     doc = {
         "superpixel_count": int(labels.shape[0]),
         "classes": list(CLASS_NAMES),
-        "labels": [[int(v) for v in row] for row in labels],
+        "labels": labels.astype(np.int64).tolist(),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
@@ -173,14 +173,16 @@ def read_labels(path: str | os.PathLike) -> np.ndarray:
     """Read and validate a label JSON document into a [K,4] float array."""
     spath = os.fspath(path)
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    for key in ("superpixel_count", "classes", "labels"):
-        if key not in doc:
-            raise ValueError(f"{spath}: missing key {key!r}")
-    if tuple(doc["classes"]) != CLASS_NAMES:
-        raise ValueError(f"{spath}: class list {doc['classes']} does not match "
-                         f"{list(CLASS_NAMES)}")
-    labels = np.asarray(doc["labels"], dtype=np.float64)
-    if labels.ndim != 2:
-        raise ValueError(f"{spath}: labels must be a list of rows")
-    return validate_labels(labels, int(doc["superpixel_count"]))
+        try:
+            doc = json.load(fh)
+            if tuple(doc["classes"]) != CLASS_NAMES:
+                raise ValueError(f"class list {doc['classes']} does not match "
+                                 f"{list(CLASS_NAMES)}")
+            labels = np.asarray(doc["labels"], dtype=np.float64)
+            if labels.ndim != 2:
+                raise ValueError("labels must be a list of rows")
+            return validate_labels(labels, int(doc["superpixel_count"]))
+        except KeyError as exc:
+            raise ValueError(f"{spath}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:  # JSON too
+            raise ValueError(f"{spath}: malformed labels: {exc}") from None

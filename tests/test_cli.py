@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,8 @@ import numpy as np
 import pytest
 
 import dermfeat
-from dermfeat.cli import main
+from dermfeat import cli
+from dermfeat.cli import _OPTIONS, main
 
 
 def run(capsys, *argv):
@@ -262,7 +265,7 @@ class TestEval:
                            "--data", str(small_dataset / "manifest.json"),
                            "--out", str(tmp_path))
         assert code == 1
-        assert dropped in err
+        assert dropped in err and str(predictions) in err
 
     def test_undefined_class_prints_na(self, capsys, tmp_path):
         from dermfeat import data as data_mod
@@ -331,3 +334,175 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--no-such-flag"])
     assert exc.value.code == 2
+
+
+def _non_default_text(default, key):
+    """Flag text for an option whose parsed value differs from default."""
+    if default is None:
+        return f"some/{key}"
+    if isinstance(default, str):
+        return default + "x"
+    if isinstance(default, tuple):
+        return ",".join(str(v + 1) for v in default)
+    return str(default + 1)
+
+
+@pytest.mark.parametrize("name", sorted(_OPTIONS))
+def test_table_keys_are_flags_and_echo_replays(capsys, tmp_path, monkeypatch,
+                                               name):
+    monkeypatch.setitem(cli._COMMANDS, name, lambda cfg: 0)
+    options = _OPTIONS[name][1]
+    argv = [name]
+    for key, (default, _, _) in options.items():
+        argv += ["--" + key.replace("_", "-"), _non_default_text(default, key)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    echo = json.loads(out)
+    assert sorted(echo) == sorted(["subcommand", *options])
+    for key, (default, parse, _) in options.items():
+        expected = parse(_non_default_text(default, key))
+        assert echo[key] == json.loads(json.dumps(expected)) != default
+    # Replay that echo, and the all-defaults echo with its null paths.
+    code, defaults, _ = run(capsys, name)
+    assert code == 0
+    for echoed in (out, defaults):
+        config = tmp_path / "echo.json"
+        config.write_text(echoed)
+        code, replayed, _ = run(capsys, name, "--config", str(config))
+        assert code == 0
+        assert replayed == echoed
+
+
+MALFORMED_CONFIGS = [
+    ("train", '{"epochs": 1.7}', "epochs"),
+    ("train", '{"batch": 8.9}', "batch"),
+    ("train", '{"channels": [4.6, 8.2]}', "channels"),
+    ("train", '{"seed": 7.5}', "seed"),
+    ("train", '{"epochs": true}', "epochs"),
+    ("train", '{"epochs": "abc"}', "epochs"),
+    ("train", '{"momentum": null}', "momentum"),
+    ("train", '{"lr": NaN}', "lr"),
+    ("train", '{"eps": [1.0]}', "eps"),
+    ("train", '{"data": {"path": "m.json"}}', "data"),
+    ("train", '{"channels": "8"}', "channels"),
+    ("train", '{"out": ["run"]}', "out"),
+    ("gen-data", '{"size": 64.9}', "size"),
+    ("gen-data", '{"prevalence": "0.5"}', "prevalence"),
+    ("gen-data", '{"split": null}', "split"),
+    ("gradcheck", '{"step": Infinity}', "step"),
+    ("gradcheck", '{"tolerance": 1e400}', "tolerance"),
+    ("train", '[{"epochs": 1}]', None),
+]
+
+
+@pytest.mark.parametrize(
+    "name, text, key", MALFORMED_CONFIGS,
+    ids=[name + re.sub(r"\W+", "-", text).rstrip("-")
+         for name, text, _ in MALFORMED_CONFIGS])
+def test_malformed_config_exits_2_naming_file_and_key(capsys, tmp_path, name,
+                                                       text, key):
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    code, out, err = run(capsys, name, "--config", str(config))
+    assert code == 2
+    assert out == ""  # rejected before the echo
+    assert str(config) in err
+    assert key is None or repr(key) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--lr", "nan"], ["train", "--eps", "inf"],
+    ["gradcheck", "--step", "inf"], ["gradcheck", "--tolerance", "-inf"],
+    ["gen-data", "--prevalence", "0.5,nan,0.5,0.5"],
+], ids="_".join)
+def test_non_finite_flag_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--channels", "0,4"], "channels"),
+    (["--batch", "0"], "batch_size"),
+], ids=["channels-0-4", "batch-0"])
+def test_bad_train_value_exits_2(capsys, small_dataset, tmp_path, flags,
+                                 message):
+    code, _, err = run(capsys, "train", "--data",
+                       str(small_dataset / "manifest.json"),
+                       "--out", str(tmp_path / "run"), *flags)
+    assert code == 2
+    assert message in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_region_radius_flag_is_validated(capsys, tmp_path):
+    code, _, err = run(capsys, "gen-data", "--out", str(tmp_path / "ds"),
+                       "--region-radius-frac", "0.1")
+    assert code == 2
+    assert "region_radius_frac needs 2 entries" in err
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("name", ["train", "predict", "eval"])
+def test_empty_manifest_exits_1_naming_it(capsys, trained, tmp_path, name):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"split": "train", "image_size": 32,
+                                    "seed": 0, "samples": []}))
+    inputs = {"train": [],
+              "predict": ["--weights", str(trained / "weights.hfcn")],
+              "eval": ["--pred", str(trained / "train_report.json")]}[name]
+    code, _, err = run(capsys, name, *inputs, "--data", str(manifest),
+                       "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert err == f"error: {manifest}: manifest lists no samples\n"
+    assert not (tmp_path / "run").exists()
+
+
+def _edit_json(path, edit):
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+
+def _truncate(path):
+    path.write_text(path.read_text()[:40])
+
+
+def _drop_key(key):
+    def edit(doc):
+        del doc[key]
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("target, mutate, message", [
+    ("manifest.json", lambda p: _edit_json(
+        p, lambda d: {**d, "samples": [_drop_key("superpixels")(d["samples"][0]),
+                                       *d["samples"][1:]]}),
+     "missing key 'superpixels'"),
+    ("manifest.json", _truncate, "malformed manifest"),
+    ("sample_00002_labels.json",
+     lambda p: _edit_json(p, lambda d: {**d, "classes": 5}), "malformed labels"),
+    ("pred.json", lambda p: _edit_json(
+        p, lambda d: [_drop_key("scores")(d[0]), *d[1:]]),
+     "lacks key 'scores'"),
+    ("pred.json", lambda p: _edit_json(p, lambda d: {"entries": d}),
+     "malformed predictions"),
+    ("pred.json", _truncate, "malformed predictions"),
+], ids=["manifest-entry-missing-key", "manifest-truncated",
+        "labels-classes-not-a-list", "prediction-missing-scores",
+        "predictions-not-a-list", "predictions-truncated"])
+def test_malformed_json_input_exits_1_naming_file(capsys, small_dataset,
+                                                  tmp_path, target, mutate,
+                                                  message):
+    from dermfeat import data as data_mod
+    root = tmp_path / "ds"
+    shutil.copytree(small_dataset, root)
+    entries = [{"image": s.name, "scores": s.labels.tolist()}
+               for s in data_mod.load(root / "manifest.json")]
+    (root / "pred.json").write_text(json.dumps(entries))
+    mutate(root / target)
+    code, _, err = run(capsys, "eval", "--pred", str(root / "pred.json"),
+                       "--data", str(root / "manifest.json"),
+                       "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert str(root / target) in err and message in err

@@ -49,6 +49,27 @@ class TestAuroc:
             slow = auroc_oracle(scores, labels)
             assert abs(fast - slow) < 1e-12, f"trial {trial}"
 
+    def test_bit_identical_to_loop_over_tied_runs(self):
+        def loop_auroc(scores, labels):
+            order = np.argsort(scores, kind="stable")
+            ranks = np.empty(scores.size)
+            bounds = np.flatnonzero(np.diff(scores[order]) != 0.0) + 1
+            starts = np.concatenate(([0], bounds))
+            ends = np.concatenate((bounds, [scores.size]))
+            for s, e in zip(starts, ends):
+                ranks[order[s:e]] = 0.5 * (s + 1 + e)
+            p = int(labels.sum())
+            u = ranks[labels == 1.0].sum() - p * (p + 1) / 2.0
+            return float(u / (p * (scores.size - p)))
+
+        rng = np.random.default_rng(61)
+        for trial in range(300):
+            n = int(rng.integers(2, 301))
+            labels = rng.integers(0, 2, n).astype(np.float64)
+            labels[:2] = (0.0, 1.0)
+            scores = rng.integers(0, int(rng.integers(1, n + 1)), n) / 7.0
+            assert auroc(scores, labels) == loop_auroc(scores, labels), trial
+
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(61)
         scores = rng.random(50)

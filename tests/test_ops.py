@@ -293,7 +293,9 @@ class TestBilinearResize:
         for oh, ow in ((16, 16), (7, 11), (2, 3), (4, 5)):
             rows = lerp(x.transpose(0, 2, 1), oh).transpose(0, 2, 1)
             want = lerp(rows, ow)
-            assert ops.bilinear_resize(x, oh, ow).tobytes() == want.tobytes()
+            out = ops.bilinear_resize(x, oh, ow)
+            assert out.flags.c_contiguous  # no transposed copy downstream
+            assert out.tobytes() == want.tobytes()
 
     def test_constant_preserved_exactly(self):
         x = np.full((3, 4, 5), 0.3)
