@@ -22,9 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import netpbm
+from .model import EncoderConfig
 from .superpixels import (CLASS_COUNT, SuperpixelMap, grid_superpixels,
-                          mask_to_scores, read_labels, read_superpixel_map,
-                          write_labels, write_superpixel_map)
+                          json_field, mask_to_scores, read_labels,
+                          read_superpixel_map, write_labels, write_superpixel_map)
 
 BACKGROUND_RGB = (0.80, 0.66, 0.58)
 LESION_RGB = (0.52, 0.38, 0.33)
@@ -64,7 +65,9 @@ class SynthSpec:
     max_regions: int = 3
     region_radius_frac: tuple[float, float] = (0.12, 0.30)
 
-    def validate(self, size_multiple: int = 16) -> None:
+    def validate(self) -> None:
+        # Extents the default encoder accepts.
+        size_multiple = EncoderConfig().size_multiple
         if self.image_size < 1:
             raise ValueError(f"image_size must be positive, got {self.image_size}")
         if self.image_size % size_multiple:
@@ -201,11 +204,12 @@ def read_manifest(path: str | os.PathLike) -> DatasetManifest:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-            samples = [ManifestEntry(image=s["image"], superpixels=s["superpixels"],
-                                     labels=s["labels"]) for s in doc["samples"]]
+            samples = [ManifestEntry(**{key: json_field(s, key, str) for key in
+                                        ("image", "superpixels", "labels")})
+                       for s in doc["samples"]]
             manifest = DatasetManifest(
-                split=doc["split"], image_size=int(doc["image_size"]),
-                seed=int(doc["seed"]), samples=samples)
+                split=doc["split"], image_size=json_field(doc, "image_size", int),
+                seed=json_field(doc, "seed", int), samples=samples)
         except KeyError as exc:
             raise ValueError(f"{spath}: manifest missing key {exc}") from None
         except (TypeError, ValueError) as exc:  # JSON too

@@ -1,4 +1,4 @@
-"""Superpixel-level AUROC per class with an exhaustive pair-counting oracle.
+"""Superpixel-level AUROC per class, pooled over a dataset's images.
 
 AUROC here is the Mann-Whitney statistic: the probability that a random
 positive outranks a random negative, with ties credited 0.5. A class
@@ -50,20 +50,6 @@ def auroc(scores, labels) -> float:
     ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
     u = ranks[pos].sum() - p * (p + 1) / 2.0
     return float(u / (p * n))
-
-
-def auroc_oracle(scores, labels) -> float:
-    """Exhaustive O(P*N) pair enumeration with 0.5 credit per tie."""
-    scores, labels = _check_scores_labels(scores, labels)
-    if scores.size > 10 ** 4:
-        raise ValueError(f"oracle limited to 1e4 samples, got {scores.size}")
-    pos = scores[labels == 1.0]
-    neg = scores[labels == 0.0]
-    if pos.size == 0 or neg.size == 0:
-        return math.nan
-    wins = np.count_nonzero(pos[:, None] > neg[None, :])
-    ties = np.count_nonzero(pos[:, None] == neg[None, :])
-    return float((wins + 0.5 * ties) / (pos.size * neg.size))
 
 
 @dataclass

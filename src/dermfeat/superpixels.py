@@ -47,8 +47,7 @@ class SuperpixelMap:
             bad = int(self.index.max() if self.index.max() >= self.count
                       else self.index.min())
             raise ValueError(f"superpixel id {bad} outside [0, {self.count})")
-        occupancy = np.bincount(self.index.ravel(), minlength=self.count)
-        missing = np.flatnonzero(occupancy == 0)
+        missing = np.flatnonzero(self.pixel_counts() == 0)
         if missing.size:
             raise ValueError(f"empty superpixel {int(missing[0])}")
 
@@ -119,12 +118,20 @@ def mask_to_scores(smap: SuperpixelMap, mask: np.ndarray) -> np.ndarray:
     """
     mask = validate_mask(mask, smap.height, smap.width)
     flat = smap.index.ravel()
-    counts = np.bincount(flat, minlength=smap.count).astype(np.float64)
+    counts = smap.pixel_counts()
     scores = np.empty((smap.count, CLASS_COUNT))
     for c in range(CLASS_COUNT):
         scores[:, c] = np.bincount(flat, weights=mask[c].ravel(),
                                    minlength=smap.count) / counts
     return scores
+
+
+def json_field(doc: dict, key: str, kind: type):
+    """doc[key], which must be exactly a `kind`: an int is not a bool or float."""
+    value = doc[key]
+    if type(value) is not kind:
+        raise TypeError(f"{key!r} must be {kind.__name__}, got {json.dumps(value)}")
+    return value
 
 
 def write_superpixel_map(smap: SuperpixelMap, path: str | os.PathLike) -> None:
@@ -181,7 +188,7 @@ def read_labels(path: str | os.PathLike) -> np.ndarray:
             labels = np.asarray(doc["labels"], dtype=np.float64)
             if labels.ndim != 2:
                 raise ValueError("labels must be a list of rows")
-            return validate_labels(labels, int(doc["superpixel_count"]))
+            return validate_labels(labels, json_field(doc, "superpixel_count", int))
         except KeyError as exc:
             raise ValueError(f"{spath}: missing key {exc}") from None
         except (TypeError, ValueError) as exc:  # JSON too

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import model
 from .data import Sample
-from .loss import LossConfig, f1_loss, f1_loss_grad
+from .loss import f1_loss, f1_loss_grad
 from .model import EncoderConfig, ModelParams
 from .superpixels import labels_to_mask
 
@@ -42,6 +42,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if self.eps < 0.0:
+            raise ValueError(f"eps must be >= 0, got {self.eps}")
 
 
 @dataclass
@@ -98,7 +100,6 @@ def train(dataset: Sequence[Sample],
 
     params = model.init_params(cfg.encoder, cfg.seed)
     velocity = {name: np.zeros_like(p) for name, p in params.items()}
-    lcfg = LossConfig(eps=cfg.eps)
     # The seeded shuffle is identical every epoch so the batch partition is
     # stable: a zero learning-rate run then reports the same loss each epoch.
     order = np.random.default_rng(cfg.seed).permutation(len(dataset))
@@ -121,8 +122,8 @@ def train(dataset: Sequence[Sample],
                 for i, probs in zip(idx, preds)})
             pred_stack = np.stack(preds)
             truth_stack = np.stack([truths[i] for i in idx])
-            batch_loss, _ = f1_loss(pred_stack, truth_stack, lcfg)
-            grad_stack = f1_loss_grad(pred_stack, truth_stack, lcfg)
+            batch_loss, _ = f1_loss(pred_stack, truth_stack, cfg.eps)
+            grad_stack = f1_loss_grad(pred_stack, truth_stack, cfg.eps)
 
             grad_total = None
             for cache, grad_probs in zip(caches, grad_stack):

@@ -12,11 +12,12 @@ import pytest
 from dermfeat import checks, data, metrics
 from dermfeat.cli import main as cli_main
 from dermfeat.data import SynthSpec
-from dermfeat.loss import dice_loss, f1_loss, fuzzy_counts
-from dermfeat.metrics import auroc, auroc_oracle
+from dermfeat.loss import f1_loss
+from dermfeat.metrics import auroc
 from dermfeat.model import EncoderConfig, forward, init_params
 from dermfeat.superpixels import grid_superpixels, labels_to_mask, mask_to_scores
 from dermfeat.train import TrainConfig, predict, train
+from oracles import auroc_oracle
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -46,8 +47,8 @@ def test_c1_gradient_correctness():
         results.append(checks.check_f1_loss(seed=100 + i, shape=(4, 16, 16),
                                             tolerance=tol))
     for i in range(60):
-        results.append(checks.check_dice_loss(seed=200 + i, shape=(1, 12, 12),
-                                              tolerance=tol))
+        results.append(checks.check_f1_loss(seed=200 + i, shape=(1, 12, 12),
+                                            tolerance=tol))
     for i in range(20):
         results.append(checks.check_model_params(seed=300 + i, tolerance=tol))
     for i in range(20):
@@ -92,17 +93,19 @@ def test_c3_loss_golden_values():
     rng = np.random.default_rng(43)
     pred1 = rng.random((1, 9, 9))
     truth1 = (rng.random((1, 9, 9)) < 0.4).astype(np.float64)
-    dice, _ = dice_loss(pred1, truth1)
-    tp, fp, fn = fuzzy_counts(pred1, truth1, 0)
+    dice, bd = f1_loss(pred1, truth1)  # one channel: the dice loss
+    tp, fp, fn = bd.tp[0], bd.fp[0], bd.fn[0]
     f1_term = 2 * tp / (2 * tp + fp + fn + 1.0)
 
-    ok = err < 1e-12 and zero_loss == 1.0 and dice == 1.0 - f1_term
+    ok = (err < 1e-12 and zero_loss == 1.0 and dice == 1.0 - bd.f1_term[0]
+          and bd.f1_term[0] == f1_term)
     report("loss-golden-values", ok,
            f"perfect-prediction loss off 1/21 by {err:.2e}; all-zero loss "
-           f"{zero_loss}; dice == f1 term: {dice == 1.0 - f1_term}")
+           f"{zero_loss}; dice == 1 - f1 term: {dice == 1.0 - bd.f1_term[0]}")
     assert err < 1e-12
     assert zero_loss == 1.0
-    assert dice == 1.0 - f1_term
+    assert dice == 1.0 - bd.f1_term[0]
+    assert bd.f1_term[0] == f1_term
 
 
 def test_c4_auroc_oracle_equivalence():

@@ -425,7 +425,8 @@ def test_non_finite_flag_is_a_usage_error(capsys, argv):
 @pytest.mark.parametrize("flags, message", [
     (["--channels", "0,4"], "channels"),
     (["--batch", "0"], "batch_size"),
-], ids=["channels-0-4", "batch-0"])
+    (["--eps", "-1"], "eps"),
+], ids=["channels-0-4", "batch-0", "eps-minus-1"])
 def test_bad_train_value_exits_2(capsys, small_dataset, tmp_path, flags,
                                  message):
     code, _, err = run(capsys, "train", "--data",
@@ -488,9 +489,23 @@ def _drop_key(key):
     ("pred.json", lambda p: _edit_json(p, lambda d: {"entries": d}),
      "malformed predictions"),
     ("pred.json", _truncate, "malformed predictions"),
+    ("manifest.json", lambda p: _edit_json(
+        p, lambda d: {**d, "samples": [{**d["samples"][0], "image": 5},
+                                       *d["samples"][1:]]}),
+     "malformed manifest: 'image' must be str, got 5"),
+    # 32 px images: int() would truncate 32.9 and pass.
+    ("manifest.json", lambda p: _edit_json(p, lambda d: {**d, "image_size": 32.9}),
+     "malformed manifest: 'image_size' must be int, got 32.9"),
+    ("manifest.json", lambda p: _edit_json(p, lambda d: {**d, "image_size": True}),
+     "malformed manifest: 'image_size' must be int, got true"),
+    ("sample_00002_labels.json", lambda p: _edit_json(
+        p, lambda d: {**d, "superpixel_count": d["superpixel_count"] + 0.7}),
+     "malformed labels: 'superpixel_count' must be int, got 16.7"),
 ], ids=["manifest-entry-missing-key", "manifest-truncated",
         "labels-classes-not-a-list", "prediction-missing-scores",
-        "predictions-not-a-list", "predictions-truncated"])
+        "predictions-not-a-list", "predictions-truncated",
+        "manifest-image-not-a-string", "manifest-image-size-float",
+        "manifest-image-size-bool", "labels-count-float"])
 def test_malformed_json_input_exits_1_naming_file(capsys, small_dataset,
                                                   tmp_path, target, mutate,
                                                   message):

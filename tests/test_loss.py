@@ -1,43 +1,49 @@
-"""Smoothed F1 / dice loss tests: golden values, gradients, properties."""
+"""Smoothed F1 loss tests: golden values, gradients, properties."""
 
 import numpy as np
 import pytest
 
 from dermfeat.gradcheck import gradcheck
-from dermfeat.loss import (LossConfig, dice_loss, f1_loss, f1_loss_grad,
-                           fuzzy_counts)
+from dermfeat.loss import f1_loss, f1_loss_grad
+
+
+def counts(pred, truth, channel):
+    """One class's fuzzy (tp, fp, fn) from f1_loss's breakdown."""
+    _, bd = f1_loss(pred, truth)
+    return float(bd.tp[channel]), float(bd.fp[channel]), float(bd.fn[channel])
 
 
 class TestFuzzyCounts:
     def test_exact_match(self):
         truth = np.zeros((4, 4, 4))
         truth[1, :2, :3] = 1.0  # 6 positives in class 1
-        tp, fp, fn = fuzzy_counts(truth, truth, 1)
-        assert (tp, fp, fn) == (6.0, 0.0, 0.0)
+        assert counts(truth, truth, 1) == (6.0, 0.0, 0.0)
 
     def test_all_zero_prediction(self):
         truth = np.zeros((4, 3, 3))
         truth[2, 0] = 1.0  # 3 positives
-        tp, fp, fn = fuzzy_counts(np.zeros_like(truth), truth, 2)
-        assert (tp, fp, fn) == (0.0, 0.0, 3.0)
+        assert counts(np.zeros_like(truth), truth, 2) == (0.0, 0.0, 3.0)
 
     def test_uniform_half_prediction(self):
         # N pixels, P positives: direct summation gives (P/2, (N-P)/2, P/2).
         truth = np.zeros((4, 4, 4))
         truth[0, 0] = 1.0  # P = 4 of N = 16
         pred = np.full_like(truth, 0.5)
-        tp, fp, fn = fuzzy_counts(pred, truth, 0)
-        assert (tp, fp, fn) == (2.0, 6.0, 2.0)
+        assert counts(pred, truth, 0) == (2.0, 6.0, 2.0)
 
     def test_rejects_out_of_range_pred(self):
         truth = np.zeros((4, 2, 2))
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
-            fuzzy_counts(np.full_like(truth, 1.5), truth, 0)
+            f1_loss(np.full_like(truth, 1.5), truth)
+        with pytest.raises(ValueError, match="\\[0, 1\\]"):
+            f1_loss_grad(np.full_like(truth, -0.5), truth)
 
     def test_rejects_non_binary_truth(self):
         pred = np.zeros((4, 2, 2))
         with pytest.raises(ValueError, match="binary"):
-            fuzzy_counts(pred, np.full_like(pred, 0.3), 0)
+            f1_loss(pred, np.full_like(pred, 0.3))
+        with pytest.raises(ValueError, match="binary"):
+            f1_loss_grad(pred, np.full_like(pred, 0.3))
 
 
 class TestF1Loss:
@@ -63,9 +69,28 @@ class TestF1Loss:
         assert loss == 1.0
         np.testing.assert_array_equal(bd.f1_term, np.zeros(4))
 
-    def test_rejects_wrong_channel_count(self):
-        with pytest.raises(ValueError, match="channels"):
-            f1_loss(np.zeros((3, 4, 4)), np.zeros((3, 4, 4)))
+    @pytest.mark.parametrize("channels", [1, 4, 7])
+    def test_any_channel_count_scores_per_class(self, channels):
+        # The class count is the input's channel extent, single or batched.
+        rng = np.random.default_rng(41 + channels)
+        pred = rng.random((2, channels, 5, 5))
+        truth = (rng.random((2, channels, 5, 5)) < 0.4).astype(np.float64)
+        for p, t in ((pred[0], truth[0]), (pred, truth)):
+            loss, bd = f1_loss(p, t, 0.5)
+            axes = tuple(a for a in range(p.ndim) if a != p.ndim - 3)
+            tp = (p * t).sum(axis=axes)
+            fp = (p * (1.0 - t)).sum(axis=axes)
+            fn = ((1.0 - p) * t).sum(axis=axes)
+            d = 2 * tp + fp + fn + 0.5
+            terms = 2 * tp / d
+            assert bd.f1_term.shape == (channels,)
+            np.testing.assert_allclose(bd.f1_term, terms, rtol=1e-14)
+            assert abs(loss - (1.0 - terms.mean())) < 1e-14
+            shape = (channels, 1, 1)
+            expected = -(t * (2 / d).reshape(shape)
+                         - (2 * tp / d ** 2).reshape(shape)) / channels
+            np.testing.assert_allclose(f1_loss_grad(p, t, 0.5), expected,
+                                       rtol=1e-13)
 
     def test_rejects_non_finite_prediction(self):
         # NaN fails every comparison, so a range check alone lets it through.
@@ -146,7 +171,7 @@ class TestF1Grad:
         truth[1] = 0.0
         grad = f1_loss_grad(pred, truth)
         assert (grad[1] >= 0.0).all()
-        tp, fp, fn = fuzzy_counts(pred, truth, 1)
+        tp, fp, fn = counts(pred, truth, 1)
         d = 2 * tp + fp + fn + 1.0
         np.testing.assert_allclose(grad[1], (1.0 / 4.0) * 2.0 * tp / d ** 2,
                                    rtol=1e-13)
@@ -184,40 +209,42 @@ class TestF1Grad:
 
 
 class TestDiceLoss:
+    """The one-channel F1 loss is the smoothed dice loss."""
+
     def test_perfect_binary_prediction(self):
         truth = np.zeros((1, 5, 5))
         truth[0, :3, :2] = 1.0  # P = 6
-        loss, _ = dice_loss(truth, truth)
+        loss, _ = f1_loss(truth, truth)
         assert abs(loss - (1.0 - 12.0 / 13.0)) < 1e-15
 
     def test_zero_prediction(self):
         truth = np.ones((1, 3, 3))
-        loss, _ = dice_loss(np.zeros_like(truth), truth)
+        loss, _ = f1_loss(np.zeros_like(truth), truth)
         assert loss == 1.0
 
     def test_equals_per_class_f1_term(self):
         rng = np.random.default_rng(39)
         pred = rng.random((1, 6, 6))
         truth = (rng.random((1, 6, 6)) < 0.4).astype(np.float64)
-        dice, _ = dice_loss(pred, truth)
-        tp, fp, fn = fuzzy_counts(pred, truth, 0)
+        dice, bd = f1_loss(pred, truth)
+        tp, fp, fn = counts(pred, truth, 0)
         f1_term = 2 * tp / (2 * tp + fp + fn + 1.0)
+        assert bd.f1_term[0] == f1_term
         assert dice == 1.0 - f1_term
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(40)
         pred = rng.uniform(0.01, 0.99, (1, 8, 8))
         truth = (rng.random((1, 8, 8)) < 0.4).astype(np.float64)
-        _, grad = dice_loss(pred, truth)
-        rep = gradcheck(lambda p: dice_loss(p, truth)[0], pred, grad,
+        grad = f1_loss_grad(pred, truth)
+        rep = gradcheck(lambda p: f1_loss(p, truth)[0], pred, grad,
                         step=1e-5, tolerance=1e-6)
         assert rep.passed, rep.summary()
 
-    def test_rejects_multi_channel(self):
-        with pytest.raises(ValueError, match="channels"):
-            dice_loss(np.zeros((2, 4, 4)), np.zeros((2, 4, 4)))
 
-
-def test_loss_config_rejects_negative_eps():
+def test_rejects_negative_eps():
+    zeros = np.zeros((4, 2, 2))
     with pytest.raises(ValueError, match="eps"):
-        LossConfig(eps=-1.0)
+        f1_loss(zeros, zeros, eps=-1.0)
+    with pytest.raises(ValueError, match="eps"):
+        f1_loss_grad(zeros, zeros, eps=-1.0)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dermfeat.metrics import auroc, auroc_oracle, evaluate
+from dermfeat.metrics import auroc, evaluate
+from oracles import auroc_oracle
 
 
 class TestAuroc:
