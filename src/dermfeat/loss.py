@@ -3,8 +3,9 @@
 The per-class score is 2*TP / (2*TP + FP + FN + eps) with fuzzy counts
 summed over pixels: TP = sum(p*t), FP = sum(p*(1-t)), FN = sum((1-p)*t).
 The loss is one minus the mean score over the input's class channels;
-eps (default 1) sits in the denominator only, so an image with empty
-ground truth keeps a nonzero loss floor even for a perfect prediction.
+eps (default 1, must be positive) sits in the denominator only, so an
+image with empty ground truth keeps a nonzero loss floor even for a
+perfect prediction.
 
 Inputs may be a single volume [C,H,W] or a batch [B,C,H,W]; a batch is
 scored with counts pooled over all of its pixels per class.
@@ -34,8 +35,9 @@ def _per_class_state(pred, truth, eps):
     """Validate the pair; returns (truth, channel axis, tp, fp, fn, denominator)."""
     pred = as_f64(pred)
     truth = as_f64(truth)
-    if eps < 0.0:
-        raise ValueError(f"loss eps must be non-negative, got {eps}")
+    # eps = 0 makes 0/0 for a class with no positives and no prediction.
+    if not eps > 0.0:
+        raise ValueError(f"loss eps must be positive, got {eps}")
     if pred.shape != truth.shape:
         raise ValueError(f"pred shape {pred.shape} != truth shape {truth.shape}")
     if pred.ndim not in (3, 4):

@@ -2,12 +2,20 @@
 
 Each encoder block is conv(k x k, "same" zero padding k // 2) -> relu;
 2x2 max pooling follows every block except the last. Every block's
-activation is tapped before its pool, bilinearly resized back to the
-input resolution, and the taps are concatenated into a hypercolumn. A
-1x1 convolution maps the hypercolumn to one channel per class, and an
-elementwise logistic squashes the output into (0, 1). The network is
-fully convolutional: output spatial size always equals input spatial
-size, and every extent is read from the image and the weight tensors.
+activation is tapped before its pool. The network computes the
+hypercolumn function: resize every tap bilinearly back to the input
+resolution, concatenate the taps, map each pixel's hypercolumn to one
+channel per class with a 1x1 convolution, and squash with an elementwise
+logistic into (0, 1).
+
+The hypercolumn itself is never built. The resize and the 1x1 head are
+both linear, so head(concat(resize(tap_i))) = sum_i resize(W_i tap_i) + b,
+where W_i is the head weight's slice for tap i (Hariharan et al.,
+Hypercolumns for Object Segmentation and Fine-grained Localization,
+arXiv:1411.5752). Each slice runs at its tap's resolution and only the
+class maps are resized. The network is fully convolutional: output
+spatial size always equals input spatial size, and every extent is read
+from the image and the weight tensors.
 """
 
 from __future__ import annotations
@@ -126,7 +134,6 @@ class ForwardCache:
     block_inputs: list[np.ndarray]   # conv input per block
     taps: list[np.ndarray]           # post-relu activations (pre-pool)
     pool_argmax: list[np.ndarray]    # one per pooled gap
-    hypercolumn: np.ndarray
     probs: np.ndarray
 
 
@@ -150,11 +157,15 @@ def forward(params: ModelParams, cfg: EncoderConfig,
             x, argmax = ops.maxpool2d(a)
             pool_argmax.append(argmax)
 
-    resized = [ops.bilinear_resize(a, h, w) for a in taps]
-    hyper = ops.concat_channels(resized)
-    logits = ops.conv2d(hyper, params["head.weight"], params["head.bias"], 0)
+    # Each tap's head slice at the tap's resolution; only the class maps
+    # are resized to the input and summed onto the bias.
+    head = ops.split_channels(params["head.weight"], list(cfg.channels))
+    no_bias = np.zeros_like(params["head.bias"])
+    logits = sum((ops.bilinear_resize(ops.conv2d(a, w_a, no_bias, 0), h, w)
+                  for a, w_a in zip(taps, head)),
+                 start=params["head.bias"][:, None, None])
     probs = ops.sigmoid(logits)
-    cache = ForwardCache(block_inputs, taps, pool_argmax, hyper, probs)
+    cache = ForwardCache(block_inputs, taps, pool_argmax, probs)
     return probs, cache
 
 
@@ -173,14 +184,15 @@ def backward(params: ModelParams, cfg: EncoderConfig, cache: ForwardCache,
 
     g_logits = ops.sigmoid_backward(cache.probs, grad_probs)
     grads = dict.fromkeys(params)
-    g_hyper, grads["head.weight"], grads["head.bias"] = ops.conv2d_backward(
-        cache.hypercolumn, params["head.weight"], 0, g_logits)
-    g_resized = ops.split_channels(g_hyper, list(cfg.channels))
+    grads["head.bias"] = g_logits.sum(axis=(1, 2))
+    head = ops.split_channels(params["head.weight"], list(cfg.channels))
+    g_head = [None] * cfg.block_count
 
     g_from_pool: np.ndarray | None = None
     for i in reversed(range(cfg.block_count)):
         tap = cache.taps[i]
-        g_tap = ops.bilinear_resize_backward(g_resized[i], tap.shape[1], tap.shape[2])
+        g_map = ops.bilinear_resize_backward(g_logits, tap.shape[1], tap.shape[2])
+        g_tap, g_head[i], _ = ops.conv2d_backward(tap, head[i], 0, g_map)
         if g_from_pool is not None:
             g_tap = g_tap + g_from_pool
         # relu(z) > 0 exactly where z > 0, so the tap masks like z.
@@ -192,6 +204,7 @@ def backward(params: ModelParams, cfg: EncoderConfig, cache: ForwardCache,
             prev_tap = cache.taps[i - 1]
             g_from_pool = ops.maxpool2d_backward(cache.pool_argmax[i - 1], g_x,
                                                  prev_tap.shape)
+    grads["head.weight"] = ops.concat_channels(g_head)
     return grads, g_x
 
 

@@ -1,9 +1,12 @@
 """Dense float64 tensor kernels: forward and backward passes for every
-operation the model needs (conv, pool, relu, sigmoid, bilinear resize,
-channel concat).
+operation the model needs (conv, pool, relu, sigmoid, bilinear resize),
+plus concat and split along the channel axis.
 
 All operations are pure functions over C-order float64 numpy arrays with
-layout [channels, height, width]. Geometry is read from the operands:
+layout [channels, height, width]. Concat and split act on axis -3, which
+is also a weight's C_in: the model splits its 1x1 head weight per tap,
+so it evaluates the hypercolumn head tap by tap and never concatenates
+the resized taps themselves. Geometry is read from the operands:
 convolutions slide one pixel at a time, take their kernel extents from
 the weights' shape and only the zero padding as an argument; pools take
 non-overlapping 2x2 windows. Backward passes return exact analytic gradients of
@@ -283,32 +286,38 @@ def bilinear_resize_backward(grad_output: np.ndarray, in_h: int,
 
 
 def concat_channels(inputs: list[np.ndarray]) -> np.ndarray:
-    """Stack [C_k,H,W] inputs along the channel axis in argument order."""
+    """Stack [C_k,H,W] maps, [B,C_k,H,W] batches or [C_out,C_k,kh,kw]
+    weights along the channel axis -3 in argument order."""
     if not inputs:
         raise ValueError("concat_channels requires at least one input")
     arrs = [as_f64(a) for a in inputs]
-    spatial = arrs[0].shape[1:]
+    first = arrs[0].shape
     for k, a in enumerate(arrs):
-        if a.ndim != 3:
-            raise ValueError(f"concat_channels input {k} must be [C,H,W]")
-        if a.shape[1:] != spatial:
+        if a.ndim not in (3, 4):
+            raise ValueError(f"concat_channels input {k} must have 3 or 4 "
+                             f"dimensions, got {a.ndim}")
+        if a.shape[:-3] + a.shape[-2:] != first[:-3] + first[-2:]:
             raise ValueError(
-                f"concat_channels input {k} has spatial extents "
-                f"{a.shape[1:]}, expected {spatial}"
+                f"concat_channels input {k} has shape {a.shape}, which differs "
+                f"from input 0's {first} off the channel axis -3 "
+                f"(batch or spatial extents)"
             )
-    return np.concatenate(arrs, axis=0)
+    return np.concatenate(arrs, axis=-3)
 
 
 def split_channels(x: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
-    """Inverse of concat_channels: split along the channel axis by sizes."""
+    """Inverse of concat_channels: split along the channel axis -3 by sizes."""
     x = as_f64(x)
-    if sum(sizes) != x.shape[0]:
+    if x.ndim not in (3, 4):
+        raise ValueError(f"split_channels input must have 3 or 4 dimensions, "
+                         f"got {x.ndim}")
+    if sum(sizes) != x.shape[-3]:
         raise ValueError(
             f"split_channels sizes sum to {sum(sizes)}, input has "
-            f"{x.shape[0]} channels"
+            f"{x.shape[-3]} channels"
         )
     out, offset = [], 0
     for c in sizes:
-        out.append(x[offset:offset + c].copy())
+        out.append(x[..., offset:offset + c, :, :].copy())
         offset += c
     return out

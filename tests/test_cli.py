@@ -426,7 +426,8 @@ def test_non_finite_flag_is_a_usage_error(capsys, argv):
     (["--channels", "0,4"], "channels"),
     (["--batch", "0"], "batch_size"),
     (["--eps", "-1"], "eps"),
-], ids=["channels-0-4", "batch-0", "eps-minus-1"])
+    (["--eps", "0"], "eps"),
+], ids=["channels-0-4", "batch-0", "eps-minus-1", "eps-0"])
 def test_bad_train_value_exits_2(capsys, small_dataset, tmp_path, flags,
                                  message):
     code, _, err = run(capsys, "train", "--data",

@@ -243,8 +243,10 @@ class TestDiceLoss:
 
 
 def test_rejects_negative_eps():
+    # eps = 0 would divide 0/0 here: no positives and an all-zero prediction.
     zeros = np.zeros((4, 2, 2))
-    with pytest.raises(ValueError, match="eps"):
-        f1_loss(zeros, zeros, eps=-1.0)
-    with pytest.raises(ValueError, match="eps"):
-        f1_loss_grad(zeros, zeros, eps=-1.0)
+    for eps in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="eps"):
+            f1_loss(zeros, zeros, eps=eps)
+        with pytest.raises(ValueError, match="eps"):
+            f1_loss_grad(zeros, zeros, eps=eps)

@@ -2,15 +2,20 @@
 
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dermfeat import model
+import dermfeat
+from dermfeat import model, ops
 from dermfeat.gradcheck import gradcheck
 from dermfeat.loss import f1_loss, f1_loss_grad
 from dermfeat.model import (WEIGHTS_MAGIC, EncoderConfig, ModelParams,
@@ -19,6 +24,41 @@ from dermfeat.model import (WEIGHTS_MAGIC, EncoderConfig, ModelParams,
                             unflatten_params)
 
 TINY = EncoderConfig(channels=(2, 2), in_channels=1)
+
+
+def hypercolumn_oracle(params, cfg, image, grad_probs):
+    """The network with the hypercolumn built: resize every tap to the
+    input, concatenate, apply the 1x1 head, and back through the same
+    steps. Returns (probs, grads, grad_image)."""
+    h, w = image.shape[1:]
+    x, inputs, taps, argmaxes = image, [], [], []
+    for i in range(cfg.block_count):
+        b = f"block{i + 1}"
+        inputs.append(x)
+        taps.append(ops.relu(ops.conv2d(x, params[f"{b}.weight"],
+                                        params[f"{b}.bias"], cfg.kernel // 2)))
+        if i + 1 < cfg.block_count:
+            x, argmax = ops.maxpool2d(taps[-1])
+            argmaxes.append(argmax)
+    hyper = np.concatenate([ops.bilinear_resize(a, h, w) for a in taps])
+    probs = ops.sigmoid(ops.conv2d(hyper, params["head.weight"],
+                                   params["head.bias"], 0))
+
+    grads = dict.fromkeys(params)
+    g_hyper, grads["head.weight"], grads["head.bias"] = ops.conv2d_backward(
+        hyper, params["head.weight"], 0, ops.sigmoid_backward(probs, grad_probs))
+    g_resized = np.split(g_hyper, np.cumsum(cfg.channels)[:-1])
+    g_from_pool = 0.0
+    for i in reversed(range(cfg.block_count)):
+        b = f"block{i + 1}"
+        g_tap = ops.bilinear_resize_backward(g_resized[i], *taps[i].shape[1:])
+        g_z = ops.relu_backward(taps[i], g_tap + g_from_pool)
+        g_x, grads[f"{b}.weight"], grads[f"{b}.bias"] = ops.conv2d_backward(
+            inputs[i], params[f"{b}.weight"], cfg.kernel // 2, g_z)
+        if i > 0:
+            g_from_pool = ops.maxpool2d_backward(argmaxes[i - 1], g_x,
+                                                 taps[i - 1].shape)
+    return probs, grads, g_x
 
 
 def zero_params(cfg: EncoderConfig) -> ModelParams:
@@ -76,8 +116,11 @@ class TestForward:
         cfg = EncoderConfig()
         assert cfg.hypercolumn_channels == 8 + 16 + 32 + 64 + 64 == 184
         rng = np.random.default_rng(51)
-        _, cache = forward(init_params(cfg, 0), cfg, rng.random((3, 16, 16)))
-        assert cache.hypercolumn.shape == (184, 16, 16)
+        params = init_params(cfg, 0)
+        probs, _ = forward(params, cfg, rng.random((3, 16, 16)))
+        assert probs.shape == (4, 16, 16)
+        head = ops.split_channels(params["head.weight"], list(cfg.channels))
+        assert [w.shape for w in head] == [(4, c, 1, 1) for c in cfg.channels]
 
     def test_output_shape_tracks_input(self):
         params = init_params(TINY, 2)
@@ -174,6 +217,76 @@ class TestBackward:
 
         rep = gradcheck(loss_of_image, image, g_img, step=1e-5, tolerance=1e-5)
         assert rep.passed, rep.summary()
+
+
+class TestFactoredHead:
+    @pytest.mark.parametrize("cfg, hw", [
+        (EncoderConfig(), (16, 16)), (EncoderConfig(), (32, 48)), (TINY, (8, 8)),
+    ], ids=["default-16x16", "default-32x48", "tiny-8x8"])
+    def test_matches_hypercolumn_oracle(self, cfg, hw):
+        rng = np.random.default_rng(58)
+        params = init_params(cfg, 12)
+        for i in range(1, cfg.block_count + 1):
+            params[f"block{i}.bias"] += 0.1  # keep every block alive
+        params["head.bias"] = rng.normal(size=4)
+        image = rng.random((cfg.in_channels, *hw))
+        grad_probs = rng.normal(size=(4, *hw))
+
+        want_probs, want_grads, want_g_img = hypercolumn_oracle(
+            params, cfg, image, grad_probs)
+        probs, cache = forward(params, cfg, image)
+        grads, g_img = model.backward(params, cfg, cache, grad_probs)
+
+        assert np.abs(probs - want_probs).max() <= 1e-14
+        assert list(grads) == list(want_grads)
+        for name, got, want in [*((n, grads[n], want_grads[n]) for n in grads),
+                                ("image", g_img, want_g_img)]:
+            assert got.shape == want.shape, name
+            scale = np.abs(want).max()
+            assert scale > 0.0, name
+            assert np.abs(got - want).max() <= 1e-12 * scale, name
+
+
+# One forward and backward, printed as sha256 per tensor plus the thread
+# count of the process (Linux only; None elsewhere).
+_DETERMINISM_SCRIPT = """
+import hashlib, json, os
+import numpy as np
+from dermfeat import model
+from dermfeat.loss import f1_loss_grad
+cfg = model.EncoderConfig()
+params = model.init_params(cfg, 21)
+rng = np.random.default_rng(21)
+image = rng.random((3, 32, 32))
+truth = (rng.random((4, 32, 32)) < 0.3).astype(np.float64)
+probs, cache = model.forward(params, cfg, image)
+grads, g_img = model.backward(params, cfg, cache, f1_loss_grad(probs, truth))
+tensors = {"probs": probs, "image": g_img, **grads}
+tasks = "/proc/self/task"
+print(json.dumps({
+    "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+    "sha256": {k: hashlib.sha256(v.tobytes()).hexdigest()
+               for k, v in tensors.items()}}))
+"""
+
+
+def test_identical_bytes_across_blas_thread_counts():
+    # BLAS reads its thread count when it loads, so each count needs its
+    # own process.
+    src = str(Path(dermfeat.__file__).resolve().parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-c", _DETERMINISM_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=60, check=True)
+        runs[threads] = json.loads(done.stdout)
+    one, two = runs["1"], runs["2"]
+    if one["threads"] is not None and (os.cpu_count() or 1) >= 2:
+        assert two["threads"] > one["threads"]  # the variable took effect
+    assert one["sha256"] == two["sha256"]
 
 
 class TestFlatten:

@@ -387,6 +387,37 @@ class TestConcat:
         with pytest.raises(ValueError, match="spatial"):
             ops.concat_channels([np.zeros((1, 2, 2)), np.zeros((1, 3, 2))])
 
+    @pytest.mark.parametrize("lead, tail", [((4,), (1, 1)), ((3,), (2, 5))],
+                             ids=["head-weight", "batch"])
+    def test_4d_round_trip_on_axis_minus_3(self, lead, tail):
+        rng = np.random.default_rng(19)
+        xs = [rng.normal(size=(*lead, c, *tail)) for c in (1, 2, 4)]
+        cat = ops.concat_channels(xs)
+        assert cat.shape == (*lead, 7, *tail)
+        np.testing.assert_array_equal(cat, np.concatenate(xs, axis=1))
+        parts = ops.split_channels(cat, [1, 2, 4])
+        for x, part in zip(xs, parts):
+            assert part.flags["C_CONTIGUOUS"]
+            np.testing.assert_array_equal(part, x)
+
+    @pytest.mark.parametrize("other", [(3, 1, 2, 2), (2, 1, 3, 2), (2, 1, 2, 3)],
+                             ids=["batch", "height", "width"])
+    def test_rejects_mismatch_off_channel_axis(self, other):
+        with pytest.raises(ValueError, match="off the channel axis"):
+            ops.concat_channels([np.zeros((2, 1, 2, 2)), np.zeros(other)])
+
+    def test_rejects_rank_mismatch(self):
+        with pytest.raises(ValueError, match="off the channel axis"):
+            ops.concat_channels([np.zeros((1, 2, 2)), np.zeros((1, 1, 2, 2))])
+        with pytest.raises(ValueError, match="3 or 4 dimensions"):
+            ops.concat_channels([np.zeros((2, 2))])
+        with pytest.raises(ValueError, match="3 or 4 dimensions"):
+            ops.split_channels(np.zeros((2, 2)), [2])
+
+    def test_split_rejects_wrong_channel_total(self):
+        with pytest.raises(ValueError, match="sum to 3"):
+            ops.split_channels(np.zeros((4, 4, 1, 1)), [1, 2])
+
 
 def test_row_major_layout_round_trip():
     rng = np.random.default_rng(18)
