@@ -33,9 +33,9 @@ def _well_conditioned(params: model.ModelParams, cfg: EncoderConfig,
                       cache: model.ForwardCache) -> bool:
     """True when every pre-activation sits away from the relu kink and
     every pool window has a clear winner."""
-    for i, x in enumerate(cache.block_inputs, start=1):
-        z = ops.conv2d(x, params[f"block{i}.weight"], params[f"block{i}.bias"],
-                       cfg.kernel // 2)
+    for i in range(cfg.block_count):
+        z = ops.conv2d(cache.block_input(i), params[f"block{i + 1}.weight"],
+                       params[f"block{i + 1}.bias"], model.KERNEL // 2)
         if np.abs(z).min() <= SMOOTH_MARGIN:
             return False
     for a, _ in zip(cache.taps[:-1], cache.pool_argmax):

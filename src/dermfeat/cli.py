@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, data, metrics, model
+from .jsonio import by_key, read_json, write_json
 from .model import EncoderConfig
 from .superpixels import CLASS_NAMES, mask_to_scores
 from .train import TrainConfig, predict, train
@@ -125,13 +126,11 @@ def _effective_config(name: str, args: argparse.Namespace) -> dict:
     cfg = {key: default for key, (default, _, _) in options.items()}
     if args.config:
         path = _require_file(args.config, "config file")
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                file_cfg = json.load(fh)
-            except ValueError as exc:  # UTF-8 too
-                raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-        if not isinstance(file_cfg, dict):
-            raise ConfigError(f"config file {path} is not a JSON object")
+        try:
+            # {**doc} is the object check: TypeError "not a mapping".
+            file_cfg = read_json(path, "config file", lambda doc: {**doc})
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         for key, value in file_cfg.items():
             if key == "subcommand":  # echoed configs carry this; ignore it
                 continue
@@ -154,18 +153,6 @@ def _require_file(path_str: str, what: str) -> Path:
     if not path.exists():
         raise ConfigError(f"{what} not found: {path}")
     return path
-
-
-def _write_report(path: Path, payload) -> None:
-    """Stream payload to path as indented JSON. NaN or infinity is an error
-    naming the path, and the partly written file is removed."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, allow_nan=False)
-            fh.write("\n")
-    except ValueError as exc:
-        path.unlink()
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_gen_data(cfg: dict) -> int:
@@ -213,7 +200,7 @@ def cmd_train(cfg: dict) -> int:
     params, report = train(samples, tcfg)
     out.mkdir(parents=True, exist_ok=True)
     model.save_params(params, encoder, out / "weights.hfcn")
-    _write_report(out / "train_report.json", report.to_json_dict())
+    write_json(out / "train_report.json", report.to_json_dict())
     for e in report.epoch_stats:
         print(f"epoch {e.epoch}: mean batch loss {e.mean_batch_loss:.6f} "
               f"({e.wall_time_s:.2f}s)")
@@ -239,9 +226,15 @@ def cmd_predict(cfg: dict) -> int:
         scores = mask_to_scores(s.smap, probs)
         entries.append({"image": s.name, "scores": scores.tolist()})
     out.mkdir(parents=True, exist_ok=True)
-    _write_report(out / "predictions.json", entries)
+    write_json(out / "predictions.json", entries)
     print(f"wrote scores for {len(entries)} images to {out / 'predictions.json'}")
     return 0
+
+
+def _parse_predictions(entries: list) -> dict[str, np.ndarray]:
+    """Image name -> [K,4] scores; an image listed twice is an error."""
+    return {name: np.asarray(e["scores"], dtype=np.float64)
+            for name, e in by_key(entries, "image").items()}
 
 
 def cmd_eval(cfg: dict) -> int:
@@ -249,14 +242,7 @@ def cmd_eval(cfg: dict) -> int:
     samples = _load_dataset(cfg, "eval")
     out = Path(_require(cfg, "out", "eval"))
 
-    with open(pred_path, "r", encoding="utf-8") as fh:
-        try:
-            by_image = {e["image"]: np.asarray(e["scores"], dtype=np.float64)
-                        for e in json.load(fh)}
-        except KeyError as exc:
-            raise ValueError(f"{pred_path}: prediction lacks key {exc}") from None
-        except (TypeError, ValueError) as exc:  # JSON too
-            raise ValueError(f"{pred_path}: malformed predictions: {exc}") from None
+    by_image = read_json(pred_path, "predictions", _parse_predictions)
     for s in samples:
         if s.name not in by_image:
             raise RuntimeError(f"{pred_path}: prediction missing for image {s.name}")
@@ -265,7 +251,7 @@ def cmd_eval(cfg: dict) -> int:
                               sample_ids=[s.name for s in samples])
 
     out.mkdir(parents=True, exist_ok=True)
-    _write_report(out / "eval_report.json", result.to_json_dict())
+    write_json(out / "eval_report.json", result.to_json_dict())
     print(f"{'class':<18} {'auroc':>8} {'positives':>10} {'negatives':>10}")
     for c in result.per_class:
         shown = "n/a" if c.auroc is None else f"{c.auroc:.4f}"
@@ -278,8 +264,9 @@ def cmd_eval(cfg: dict) -> int:
 def cmd_gradcheck(cfg: dict) -> int:
     if cfg["instances"] < 1:
         raise ConfigError(f"instances must be >= 1, got {cfg['instances']}")
-    if cfg["step"] <= 0:
-        raise ConfigError(f"step must be positive, got {cfg['step']}")
+    for key in ("step", "tolerance"):
+        if cfg[key] <= 0:
+            raise ConfigError(f"{key} must be positive, got {cfg[key]}")
 
     results = checks.run_suite(cfg["instances"], seed=cfg["seed"],
                                step=cfg["step"], tolerance=cfg["tolerance"])
@@ -299,7 +286,7 @@ def cmd_gradcheck(cfg: dict) -> int:
                 for name, r in results
             ],
         }
-        _write_report(out / "gradcheck_report.json", payload)
+        write_json(out / "gradcheck_report.json", payload)
     if not all(r.passed for _, r in results):
         print("gradient check FAILED", file=sys.stderr)
         return 1

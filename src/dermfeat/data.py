@@ -14,18 +14,18 @@ with (seed, i), so serial and parallel generation agree.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import netpbm
+from .jsonio import by_key, json_field, read_json, write_json
 from .model import EncoderConfig
 from .superpixels import (CLASS_COUNT, SuperpixelMap, grid_superpixels,
-                          json_field, mask_to_scores, read_labels,
-                          read_superpixel_map, write_labels, write_superpixel_map)
+                          mask_to_scores, read_labels, read_superpixel_map,
+                          write_labels, write_superpixel_map)
 
 BACKGROUND_RGB = (0.80, 0.66, 0.58)
 LESION_RGB = (0.52, 0.38, 0.33)
@@ -183,39 +183,21 @@ class DatasetManifest:
     seed: int
     samples: list[ManifestEntry]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "split": self.split,
-            "image_size": self.image_size,
-            "seed": self.seed,
-            "samples": [{"image": s.image, "superpixels": s.superpixels,
-                         "labels": s.labels} for s in self.samples],
-        }
 
-
-def write_manifest(manifest: DatasetManifest, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+def _parse_manifest(doc: dict) -> DatasetManifest:
+    entries = [{key: json_field(s, key, str) for key in
+                ("image", "superpixels", "labels")} for s in doc["samples"]]
+    # Predictions are keyed by image, so an image listed twice is an error.
+    samples = [ManifestEntry(**e) for e in by_key(entries, "image").values()]
+    return DatasetManifest(split=doc["split"],
+                           image_size=json_field(doc, "image_size", int),
+                           seed=json_field(doc, "seed", int), samples=samples)
 
 
 def read_manifest(path: str | os.PathLike) -> DatasetManifest:
-    spath = os.fspath(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-            samples = [ManifestEntry(**{key: json_field(s, key, str) for key in
-                                        ("image", "superpixels", "labels")})
-                       for s in doc["samples"]]
-            manifest = DatasetManifest(
-                split=doc["split"], image_size=json_field(doc, "image_size", int),
-                seed=json_field(doc, "seed", int), samples=samples)
-        except KeyError as exc:
-            raise ValueError(f"{spath}: manifest missing key {exc}") from None
-        except (TypeError, ValueError) as exc:  # JSON too
-            raise ValueError(f"{spath}: malformed manifest: {exc}") from None
-    if not samples:
-        raise ValueError(f"{spath}: manifest lists no samples")
+    manifest = read_json(path, "manifest", _parse_manifest)
+    if not manifest.samples:
+        raise ValueError(f"{os.fspath(path)}: manifest lists no samples")
     return manifest
 
 
@@ -247,7 +229,7 @@ def generate(spec: SynthSpec, count: int, out_dir: str | os.PathLike,
 
     manifest = DatasetManifest(split=split, image_size=spec.image_size,
                                seed=spec.seed, samples=entries)
-    write_manifest(manifest, out / "manifest.json")
+    write_json(out / "manifest.json", asdict(manifest))
     return manifest
 
 
@@ -267,20 +249,11 @@ def load(manifest_path: str | os.PathLike) -> list[Sample]:
     base = Path(manifest_path).parent
     samples = []
     for entry in manifest.samples:
-        image_path = base / entry.image
-        if not image_path.exists():
-            raise FileNotFoundError(f"missing image file: {image_path}")
-        sp_path = base / entry.superpixels
-        if not sp_path.exists():
-            raise FileNotFoundError(f"missing superpixel file: {sp_path}")
-        lb_path = base / entry.labels
-        if not lb_path.exists():
-            raise FileNotFoundError(f"missing labels file: {lb_path}")
-
-        rgb = netpbm.read_ppm8(image_path)
+        # A missing file is the FileNotFoundError of its open, naming it.
+        rgb = netpbm.read_ppm8(base / entry.image)
         image = np.ascontiguousarray(rgb.transpose(2, 0, 1)).astype(np.float64) / 255.0
-        smap = read_superpixel_map(sp_path)
-        labels = read_labels(lb_path)
+        smap = read_superpixel_map(base / entry.superpixels)
+        labels = read_labels(base / entry.labels)
         if rgb.shape[:2] != (manifest.image_size, manifest.image_size):
             raise ValueError(f"{entry.image}: image is {rgb.shape[1]}x{rgb.shape[0]}, "
                              f"manifest says {manifest.image_size}")

@@ -53,6 +53,8 @@ def gradcheck(fn: Callable[[np.ndarray], float], point: np.ndarray,
     """
     if step <= 0.0:
         raise ValueError(f"gradcheck step must be positive, got {step}")
+    if tolerance <= 0.0:
+        raise ValueError(f"gradcheck tolerance must be positive, got {tolerance}")
     point = as_f64(point)
     analytic = as_f64(analytic)
     if analytic.shape != point.shape:

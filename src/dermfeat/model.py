@@ -1,6 +1,6 @@
 """Hypercolumn fully-convolutional network.
 
-Each encoder block is conv(k x k, "same" zero padding k // 2) -> relu;
+Each encoder block is conv(KERNEL x KERNEL, "same" zero padding) -> relu;
 2x2 max pooling follows every block except the last. Every block's
 activation is tapped before its pool. The network computes the
 hypercolumn function: resize every tap bilinearly back to the input
@@ -30,27 +30,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
+from .jsonio import parsing
 from .ops import as_f64
 from .superpixels import CLASS_COUNT, CLASS_NAMES
 
 WEIGHTS_MAGIC = b"HFCNv001"
+KERNEL = 3  # every block's conv is KERNEL x KERNEL
 
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Encoder geometry: one 3x3 conv per block, pooling between blocks."""
+    """Encoder geometry: one conv per block, pooling between blocks."""
 
     channels: tuple[int, ...] = (8, 16, 32, 64, 64)
     in_channels: int = 3
-    kernel: int = 3
 
     def __post_init__(self):
         if not self.channels or any(c < 1 for c in self.channels):
             raise ValueError(f"block channels must be positive, got {self.channels}")
         if self.in_channels < 1:
             raise ValueError(f"in_channels must be positive, got {self.in_channels}")
-        if self.kernel < 1 or self.kernel % 2 == 0:
-            raise ValueError(f"kernel must be a positive odd extent, got {self.kernel}")
 
     @property
     def block_count(self) -> int:
@@ -86,7 +85,7 @@ def param_specs(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
     specs = []
     c_in = cfg.in_channels
     for i, c_out in enumerate(cfg.channels, start=1):
-        specs.append((f"block{i}.weight", (c_out, c_in, cfg.kernel, cfg.kernel)))
+        specs.append((f"block{i}.weight", (c_out, c_in, KERNEL, KERNEL)))
         specs.append((f"block{i}.bias", (c_out,)))
         c_in = c_out
     specs.append(("head.weight", (CLASS_COUNT, cfg.hypercolumn_channels, 1, 1)))
@@ -131,10 +130,17 @@ def check_params(params: ModelParams, cfg: EncoderConfig) -> None:
 class ForwardCache:
     """Intermediates retained for the backward pass."""
 
-    block_inputs: list[np.ndarray]   # conv input per block
+    image: np.ndarray                # block 1's conv input
     taps: list[np.ndarray]           # post-relu activations (pre-pool)
     pool_argmax: list[np.ndarray]    # one per pooled gap
     probs: np.ndarray
+
+    def block_input(self, i: int) -> np.ndarray:
+        """Conv input of block i (from 0): the image, else the pooled tap
+        i - 1, rebuilt exactly as the tap's values at the pool argmax."""
+        if i == 0:
+            return self.image
+        return self.taps[i - 1].ravel()[self.pool_argmax[i - 1]]
 
 
 def forward(params: ModelParams, cfg: EncoderConfig,
@@ -146,12 +152,11 @@ def forward(params: ModelParams, cfg: EncoderConfig,
     h, w = image.shape[1], image.shape[2]
 
     x = image
-    block_inputs, taps, pool_argmax = [], [], []
+    taps, pool_argmax = [], []
     for i in range(cfg.block_count):
-        block_inputs.append(x)
         block = f"block{i + 1}"
         a = ops.relu(ops.conv2d(x, params[f"{block}.weight"],
-                                params[f"{block}.bias"], cfg.kernel // 2))
+                                params[f"{block}.bias"], KERNEL // 2))
         taps.append(a)
         if i + 1 < cfg.block_count:
             x, argmax = ops.maxpool2d(a)
@@ -165,7 +170,7 @@ def forward(params: ModelParams, cfg: EncoderConfig,
                   for a, w_a in zip(taps, head)),
                  start=params["head.bias"][:, None, None])
     probs = ops.sigmoid(logits)
-    cache = ForwardCache(block_inputs, taps, pool_argmax, probs)
+    cache = ForwardCache(image, taps, pool_argmax, probs)
     return probs, cache
 
 
@@ -199,11 +204,10 @@ def backward(params: ModelParams, cfg: EncoderConfig, cache: ForwardCache,
         g_z = ops.relu_backward(tap, g_tap)
         block = f"block{i + 1}"
         g_x, grads[f"{block}.weight"], grads[f"{block}.bias"] = ops.conv2d_backward(
-            cache.block_inputs[i], params[f"{block}.weight"], cfg.kernel // 2, g_z)
+            cache.block_input(i), params[f"{block}.weight"], KERNEL // 2, g_z)
         if i > 0:
-            prev_tap = cache.taps[i - 1]
             g_from_pool = ops.maxpool2d_backward(cache.pool_argmax[i - 1], g_x,
-                                                 prev_tap.shape)
+                                                 cache.taps[i - 1].shape)
     grads["head.weight"] = ops.concat_channels(g_head)
     return grads, g_x
 
@@ -235,7 +239,7 @@ def save_params(params: ModelParams, cfg: EncoderConfig,
     header = {
         "in_channels": cfg.in_channels,
         "channels": list(cfg.channels),
-        "kernel": cfg.kernel,
+        "kernel": KERNEL,
         "class_names": list(CLASS_NAMES),
         "tensors": [{"name": name, "shape": list(shape)}
                     for name, shape in param_specs(cfg)],
@@ -272,22 +276,19 @@ def load_params(path: str | os.PathLike,
             raise ValueError(f"{spath}: truncated header ({header_len} bytes "
                              f"declared, {size - fh.tell()} left in file)")
         blob = fh.read(header_len)
-        try:
+        with parsing(spath, "header"):
             header = json.loads(blob.decode("utf-8"))
             channels, in_channels, kernel = (
                 header["channels"], header["in_channels"], header["kernel"])
             if not all(type(v) is int for v in [*channels, in_channels, kernel]):
                 raise TypeError("geometry entries must be integers")
-            file_cfg = EncoderConfig(tuple(channels), in_channels, kernel)
-            class_names = tuple(header["class_names"])
+            if kernel != KERNEL:
+                raise ValueError(f"kernel must be {KERNEL}, got {kernel}")
+            file_cfg = EncoderConfig(tuple(channels), in_channels)
+            if tuple(header["class_names"]) != CLASS_NAMES:
+                raise ValueError(f"class names {header['class_names']} "
+                                 f"do not match {list(CLASS_NAMES)}")
             stored = [(e["name"], tuple(e["shape"])) for e in header["tensors"]]
-        except KeyError as exc:
-            raise ValueError(f"{spath}: header lacks key {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:  # UTF-8, JSON too
-            raise ValueError(f"{spath}: malformed header: {exc}") from exc
-        if class_names != CLASS_NAMES:
-            raise ValueError(f"{spath}: class names {list(class_names)} "
-                             f"do not match {list(CLASS_NAMES)}")
         specs = param_specs(file_cfg)
         mismatch = _spec_mismatch(stored, specs)
         if mismatch:

@@ -11,12 +11,26 @@ class NetpbmError(ValueError):
     """Malformed or unsupported Netpbm file."""
 
 
-def _parse_header(data: bytes, magic: bytes, path: str
-                  ) -> tuple[int, int, int, list[str], int]:
-    """Parse '<magic> width height maxval' allowing # comments.
+def _write(path: str | os.PathLike, magic: bytes, pixels: np.ndarray,
+           comment: str | None = None) -> None:
+    """Write the header, maxval the dtype's maximum, then the raster."""
+    header = magic + b"\n"
+    if comment is not None:
+        header += b"# " + comment.encode("ascii") + b"\n"
+    header += (f"{pixels.shape[1]} {pixels.shape[0]}\n"
+               f"{np.iinfo(pixels.dtype).max}\n").encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(pixels.tobytes())
 
-    Returns (width, height, maxval, comments, raster_offset).
-    """
+
+def _read(path: str | os.PathLike, magic: bytes, dtype: str, depth: int
+          ) -> tuple[np.ndarray, list[str]]:
+    """Read '<magic> width height maxval', allowing # comments, and the
+    raster; returns ([H,W,depth] `dtype` pixels, header comments)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    path = os.fspath(path)
     if not data.startswith(magic):
         raise NetpbmError(f"{path}: expected magic {magic.decode()!r}")
     pos = len(magic)
@@ -46,7 +60,15 @@ def _parse_header(data: bytes, magic: bytes, path: str
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise NetpbmError(f"{path}: invalid dimensions {width}x{height}")
-    return width, height, maxval, comments, pos + 1
+    if maxval != np.iinfo(dtype).max:
+        raise NetpbmError(f"{path}: expected maxval {np.iinfo(dtype).max}, "
+                          f"got {maxval}")
+    need = width * height * depth * np.dtype(dtype).itemsize
+    raster = data[pos + 1:pos + 1 + need]
+    if len(raster) < need:
+        raise NetpbmError(f"{path}: truncated raster "
+                          f"({len(raster)} of {need} bytes)")
+    return np.frombuffer(raster, dtype=dtype).reshape(height, width, depth), comments
 
 
 def write_pgm16(path: str | os.PathLike, values: np.ndarray,
@@ -57,30 +79,13 @@ def write_pgm16(path: str | os.PathLike, values: np.ndarray,
         raise ValueError(f"P5 payload must be 2D, got {values.ndim} dimensions")
     if values.min() < 0 or values.max() > 65535:
         raise ValueError("P5 values must lie in [0, 65535]")
-    header = b"P5\n"
-    if comment is not None:
-        header += b"# " + comment.encode("ascii") + b"\n"
-    header += f"{values.shape[1]} {values.shape[0]}\n65535\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(values.astype(">u2").tobytes())
+    _write(path, b"P5", values.astype(">u2"), comment)
 
 
 def read_pgm16(path: str | os.PathLike) -> tuple[np.ndarray, list[str]]:
     """Read a binary P5 with maxval 65535; returns (values, header comments)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    spath = os.fspath(path)
-    width, height, maxval, comments, offset = _parse_header(data, b"P5", spath)
-    if maxval != 65535:
-        raise NetpbmError(f"{spath}: expected maxval 65535, got {maxval}")
-    need = width * height * 2
-    raster = data[offset:offset + need]
-    if len(raster) < need:
-        raise NetpbmError(f"{spath}: truncated raster "
-                          f"({len(raster)} of {need} bytes)")
-    values = np.frombuffer(raster, dtype=">u2").reshape(height, width)
-    return values.astype(np.int64), comments
+    values, comments = _read(path, b"P5", ">u2", 1)
+    return values[:, :, 0].astype(np.int64), comments
 
 
 def write_ppm8(path: str | os.PathLike, rgb: np.ndarray) -> None:
@@ -90,23 +95,9 @@ def write_ppm8(path: str | os.PathLike, rgb: np.ndarray) -> None:
         raise ValueError(f"P6 payload must be [H,W,3], got shape {rgb.shape}")
     if rgb.dtype != np.uint8:
         raise ValueError(f"P6 payload must be uint8, got {rgb.dtype}")
-    header = f"P6\n{rgb.shape[1]} {rgb.shape[0]}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(rgb.tobytes())
+    _write(path, b"P6", rgb)
 
 
 def read_ppm8(path: str | os.PathLike) -> np.ndarray:
     """Read a binary P6 with maxval 255 into an [H,W,3] uint8 array."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    spath = os.fspath(path)
-    width, height, maxval, _, offset = _parse_header(data, b"P6", spath)
-    if maxval != 255:
-        raise NetpbmError(f"{spath}: expected maxval 255, got {maxval}")
-    need = width * height * 3
-    raster = data[offset:offset + need]
-    if len(raster) < need:
-        raise NetpbmError(f"{spath}: truncated raster "
-                          f"({len(raster)} of {need} bytes)")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3).copy()
+    return _read(path, b"P6", "u1", 3)[0].copy()

@@ -9,13 +9,13 @@ class-c values painted per pixel.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import netpbm
+from .jsonio import json_field, parsing, read_json, write_json
 from .ops import as_f64
 
 CLASS_NAMES = ("pigment_network", "negative_network", "milia_like_cyst", "streaks")
@@ -126,14 +126,6 @@ def mask_to_scores(smap: SuperpixelMap, mask: np.ndarray) -> np.ndarray:
     return scores
 
 
-def json_field(doc: dict, key: str, kind: type):
-    """doc[key], which must be exactly a `kind`: an int is not a bool or float."""
-    value = doc[key]
-    if type(value) is not kind:
-        raise TypeError(f"{key!r} must be {kind.__name__}, got {json.dumps(value)}")
-    return value
-
-
 def write_superpixel_map(smap: SuperpixelMap, path: str | os.PathLike) -> None:
     """Write as binary P5, two bytes per pixel MSB first, with a
     '# K=<count>' header comment carrying the declared count."""
@@ -147,49 +139,35 @@ def write_superpixel_map(smap: SuperpixelMap, path: str | os.PathLike) -> None:
 def read_superpixel_map(path: str | os.PathLike) -> SuperpixelMap:
     """Read a P5 superpixel map and validate both contiguity invariants."""
     values, comments = netpbm.read_pgm16(path)
-    count = None
-    for comment in comments:
-        if comment.startswith("K="):
-            try:
-                count = int(comment[2:])
-            except ValueError:
-                raise netpbm.NetpbmError(
-                    f"{os.fspath(path)}: malformed count comment {comment!r}")
-    if count is None:
-        raise netpbm.NetpbmError(
-            f"{os.fspath(path)}: missing '# K=<count>' header comment")
-    smap = SuperpixelMap(index=values, count=count)
-    smap.validate()
+    with parsing(path, "superpixel map"):
+        counts = [int(c[2:]) for c in comments if c.startswith("K=")]
+        if not counts:
+            raise ValueError("missing '# K=<count>' header comment")
+        smap = SuperpixelMap(index=values, count=counts[-1])
+        smap.validate()
     return smap
 
 
 def write_labels(labels: np.ndarray, path: str | os.PathLike) -> None:
     """Write a [K,4] binary label matrix as a JSON document."""
     labels = validate_labels(labels, labels.shape[0])
-    doc = {
+    write_json(path, {
         "superpixel_count": int(labels.shape[0]),
         "classes": list(CLASS_NAMES),
         "labels": labels.astype(np.int64).tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    })
+
+
+def _parse_labels(doc: dict) -> np.ndarray:
+    if tuple(doc["classes"]) != CLASS_NAMES:
+        raise ValueError(f"class list {doc['classes']} does not match "
+                         f"{list(CLASS_NAMES)}")
+    labels = np.asarray(doc["labels"], dtype=np.float64)
+    if labels.ndim != 2:
+        raise ValueError("labels must be a list of rows")
+    return validate_labels(labels, json_field(doc, "superpixel_count", int))
 
 
 def read_labels(path: str | os.PathLike) -> np.ndarray:
     """Read and validate a label JSON document into a [K,4] float array."""
-    spath = os.fspath(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-            if tuple(doc["classes"]) != CLASS_NAMES:
-                raise ValueError(f"class list {doc['classes']} does not match "
-                                 f"{list(CLASS_NAMES)}")
-            labels = np.asarray(doc["labels"], dtype=np.float64)
-            if labels.ndim != 2:
-                raise ValueError("labels must be a list of rows")
-            return validate_labels(labels, json_field(doc, "superpixel_count", int))
-        except KeyError as exc:
-            raise ValueError(f"{spath}: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:  # JSON too
-            raise ValueError(f"{spath}: malformed labels: {exc}") from None
+    return read_json(path, "labels", _parse_labels)

@@ -14,6 +14,7 @@ import pytest
 import dermfeat
 from dermfeat import cli
 from dermfeat.cli import _OPTIONS, main
+from dermfeat.jsonio import write_json
 
 
 def run(capsys, *argv):
@@ -321,13 +322,39 @@ class TestGradcheck:
         assert not report.exists()
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-def test_report_writer_rejects_non_finite(tmp_path, value):
-    from dermfeat.cli import _write_report
+@pytest.mark.parametrize("value, reason", [
+    (float("nan"), "not JSON compliant"), (float("inf"), "not JSON compliant"),
+    (-float("inf"), "not JSON compliant"), (np.int64(3), "not JSON serializable"),
+], ids=["nan", "inf", "-inf", "int64"])
+def test_report_writer_rejects_non_finite(tmp_path, value, reason):
     path = tmp_path / "r.json"
-    with pytest.raises(ValueError, match="r.json"):
-        _write_report(path, {"epochs": [{"mean_batch_loss": value}]})
-    assert not path.exists()
+    with pytest.raises(ValueError, match=f"r.json: .*{reason}"):
+        write_json(path, {"epochs": [{"mean_batch_loss": value}]})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_json_file_has_the_one_writer_format(capsys, tmp_path):
+    """Each JSON file the pipeline writes is 2-space indented with a
+    trailing newline: the format write_json decides."""
+    ds, run_dir = tmp_path / "ds", tmp_path / "run"
+    for argv in (
+            ["gen-data", "--out", ds, "--count", "2", "--size", "16",
+             "--cell", "8", "--seed", "2"],
+            ["train", "--data", ds / "manifest.json", "--out", run_dir,
+             "--epochs", "1", "--batch", "2", "--channels", "2,2"],
+            ["predict", "--weights", run_dir / "weights.hfcn",
+             "--data", ds / "manifest.json", "--out", run_dir],
+            ["eval", "--pred", run_dir / "predictions.json",
+             "--data", ds / "manifest.json", "--out", run_dir],
+            ["gradcheck", "--instances", "1", "--out", run_dir]):
+        assert main([str(a) for a in argv]) == 0
+    written = sorted(tmp_path.rglob("*.json"))
+    assert {p.name for p in written} >= {
+        "manifest.json", "sample_00000_labels.json", "train_report.json",
+        "predictions.json", "eval_report.json", "gradcheck_report.json"}
+    for path in written:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", path
 
 
 def test_usage_error_exits_2(capsys):
@@ -438,6 +465,21 @@ def test_bad_train_value_exits_2(capsys, small_dataset, tmp_path, flags,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--step", "0"], "step"),
+    (["--tolerance", "0"], "tolerance"),
+    (["--tolerance", "-1"], "tolerance"),
+    (["--instances", "0"], "instances"),
+], ids=["step-0", "tolerance-0", "tolerance-minus-1", "instances-0"])
+def test_bad_gradcheck_value_exits_2(capsys, tmp_path, flags, message):
+    code, out, err = run(capsys, "gradcheck", "--out", str(tmp_path / "gc"),
+                         *flags)
+    assert code == 2
+    assert f"{message} must be" in err
+    assert "FAIL" not in out  # rejected before any check runs
+    assert not (tmp_path / "gc").exists()
+
+
 def test_region_radius_flag_is_validated(capsys, tmp_path):
     code, _, err = run(capsys, "gen-data", "--out", str(tmp_path / "ds"),
                        "--region-radius-frac", "0.1")
@@ -476,17 +518,30 @@ def _drop_key(key):
     return edit
 
 
+def _zeroed(entry):
+    return {**entry, "scores": [[0.0] * 4] * len(entry["scores"])}
+
+
 @pytest.mark.parametrize("target, mutate, message", [
     ("manifest.json", lambda p: _edit_json(
         p, lambda d: {**d, "samples": [_drop_key("superpixels")(d["samples"][0]),
                                        *d["samples"][1:]]}),
-     "missing key 'superpixels'"),
+     "manifest lacks key 'superpixels'"),
     ("manifest.json", _truncate, "malformed manifest"),
     ("sample_00002_labels.json",
      lambda p: _edit_json(p, lambda d: {**d, "classes": 5}), "malformed labels"),
     ("pred.json", lambda p: _edit_json(
         p, lambda d: [_drop_key("scores")(d[0]), *d[1:]]),
-     "lacks key 'scores'"),
+     "predictions lacks key 'scores'"),
+    # First or last, a repeat would otherwise hide or replace real scores.
+    ("pred.json", lambda p: _edit_json(p, lambda d: [_zeroed(d[0]), *d]),
+     "malformed predictions: image 'sample_00000.ppm' is listed twice"),
+    ("pred.json", lambda p: _edit_json(p, lambda d: [*d, _zeroed(d[0])]),
+     "malformed predictions: image 'sample_00000.ppm' is listed twice"),
+    # predict would write such a manifest's image twice.
+    ("manifest.json", lambda p: _edit_json(
+        p, lambda d: {**d, "samples": [*d["samples"], d["samples"][1]]}),
+     "malformed manifest: image 'sample_00001.ppm' is listed twice"),
     ("pred.json", lambda p: _edit_json(p, lambda d: {"entries": d}),
      "malformed predictions"),
     ("pred.json", _truncate, "malformed predictions"),
@@ -504,6 +559,8 @@ def _drop_key(key):
      "malformed labels: 'superpixel_count' must be int, got 16.7"),
 ], ids=["manifest-entry-missing-key", "manifest-truncated",
         "labels-classes-not-a-list", "prediction-missing-scores",
+        "prediction-repeated-first", "prediction-repeated-last",
+        "manifest-image-repeated",
         "predictions-not-a-list", "predictions-truncated",
         "manifest-image-not-a-string", "manifest-image-size-float",
         "manifest-image-size-bool", "labels-count-float"])

@@ -56,5 +56,9 @@ def test_worst_index_points_at_bad_element():
 def test_rejects_bad_step_and_shape():
     with pytest.raises(ValueError, match="step"):
         gradcheck(lambda x: 0.0, np.zeros(2), np.zeros(2), step=0.0)
+    for tolerance in (0.0, -1.0):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            gradcheck(lambda x: 0.0, np.zeros(2), np.zeros(2),
+                      tolerance=tolerance)
     with pytest.raises(ValueError, match="shape"):
         gradcheck(lambda x: 0.0, np.zeros(2), np.zeros(3))

@@ -18,9 +18,9 @@ import dermfeat
 from dermfeat import model, ops
 from dermfeat.gradcheck import gradcheck
 from dermfeat.loss import f1_loss, f1_loss_grad
-from dermfeat.model import (WEIGHTS_MAGIC, EncoderConfig, ModelParams,
-                            check_params, flatten_params, forward, init_params,
-                            load_params, param_specs, save_params,
+from dermfeat.model import (KERNEL, WEIGHTS_MAGIC, EncoderConfig,
+                            ModelParams, check_params, flatten_params, forward,
+                            init_params, load_params, param_specs, save_params,
                             unflatten_params)
 
 TINY = EncoderConfig(channels=(2, 2), in_channels=1)
@@ -36,7 +36,7 @@ def hypercolumn_oracle(params, cfg, image, grad_probs):
         b = f"block{i + 1}"
         inputs.append(x)
         taps.append(ops.relu(ops.conv2d(x, params[f"{b}.weight"],
-                                        params[f"{b}.bias"], cfg.kernel // 2)))
+                                        params[f"{b}.bias"], KERNEL // 2)))
         if i + 1 < cfg.block_count:
             x, argmax = ops.maxpool2d(taps[-1])
             argmaxes.append(argmax)
@@ -54,7 +54,7 @@ def hypercolumn_oracle(params, cfg, image, grad_probs):
         g_tap = ops.bilinear_resize_backward(g_resized[i], *taps[i].shape[1:])
         g_z = ops.relu_backward(taps[i], g_tap + g_from_pool)
         g_x, grads[f"{b}.weight"], grads[f"{b}.bias"] = ops.conv2d_backward(
-            inputs[i], params[f"{b}.weight"], cfg.kernel // 2, g_z)
+            inputs[i], params[f"{b}.weight"], KERNEL // 2, g_z)
         if i > 0:
             g_from_pool = ops.maxpool2d_backward(argmaxes[i - 1], g_x,
                                                  taps[i - 1].shape)
@@ -121,6 +121,17 @@ class TestForward:
         assert probs.shape == (4, 16, 16)
         head = ops.split_channels(params["head.weight"], list(cfg.channels))
         assert [w.shape for w in head] == [(4, c, 1, 1) for c in cfg.channels]
+
+    def test_block_inputs_rebuilt_exactly_from_taps(self):
+        cfg = EncoderConfig(channels=(4, 6, 8), in_channels=3)
+        params = init_params(cfg, 3)
+        image = np.random.default_rng(52).random((3, 16, 16))
+        _, cache = forward(params, cfg, image)
+        assert cache.block_input(0) is cache.image
+        assert np.shares_memory(cache.image, image)
+        for i in (1, 2):
+            pooled, _ = ops.maxpool2d(cache.taps[i - 1])
+            np.testing.assert_array_equal(cache.block_input(i), pooled)
 
     def test_output_shape_tracks_input(self):
         params = init_params(TINY, 2)
@@ -452,7 +463,7 @@ class TestLoaderRejects:
         ("missing channels", "lacks key 'channels'"),
         ("missing kernel", "lacks key 'kernel'"),
         ("missing tensors", "lacks key 'tensors'"),
-        ("invalid geometry", "kernel must be a positive odd extent"),
+        ("invalid geometry", "malformed header: kernel must be 3, got 2"),
         ("fractional geometry", "geometry entries must be integers"),
         ("NaN weight", "head.weight has non-finite values"),
         ("inf weight", "block1.weight has non-finite values"),

@@ -1,5 +1,7 @@
 """Superpixel map, conversion, and codec tests."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,13 +160,15 @@ class TestMapCodec:
     def test_rejects_empty_superpixel_file(self, tmp_path):
         path = tmp_path / "map.pgm"
         netpbm.write_pgm16(path, np.array([[0, 2], [0, 2]]), comment="K=3")
-        with pytest.raises(ValueError, match="empty superpixel 1"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: malformed superpixel map: empty superpixel 1")):
             read_superpixel_map(path)
 
     def test_rejects_out_of_range_ids(self, tmp_path):
         path = tmp_path / "map.pgm"
         netpbm.write_pgm16(path, np.array([[0, 5]]), comment="K=2")
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: malformed superpixel map: superpixel id 5 outside")):
             read_superpixel_map(path)
 
     def test_rejects_truncated_file(self, tmp_path):
@@ -178,7 +182,12 @@ class TestMapCodec:
     def test_rejects_missing_count_comment(self, tmp_path):
         path = tmp_path / "map.pgm"
         netpbm.write_pgm16(path, np.zeros((2, 2), dtype=np.int64))
-        with pytest.raises(ValueError, match="K="):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*K="):
+            read_superpixel_map(path)
+        netpbm.write_pgm16(path, np.zeros((2, 2), dtype=np.int64),
+                           comment="K=one")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: malformed superpixel map: invalid literal")):
             read_superpixel_map(path)
 
     def test_rejects_malformed_header(self, tmp_path):
