@@ -168,9 +168,9 @@ def cmd_gen_data(cfg: dict) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc))
 
-    manifest = data.generate(spec, cfg["count"], out, split=cfg["split"])
-    samples = data.load(Path(out) / "manifest.json")
-    labels = np.concatenate([s.labels for s in samples])
+    manifest, sample_labels = data.generate(spec, cfg["count"], out,
+                                            split=cfg["split"])
+    labels = np.concatenate(sample_labels)
     positives, total = labels.sum(axis=0), labels.shape[0]
     print(f"wrote {len(manifest.samples)} samples to {out}")
     print(f"{'class':<18} {'positive superpixels':>20} {'of':>8}")

@@ -202,8 +202,9 @@ def read_manifest(path: str | os.PathLike) -> DatasetManifest:
 
 
 def generate(spec: SynthSpec, count: int, out_dir: str | os.PathLike,
-             split: str = "train") -> DatasetManifest:
-    """Write `count` samples plus manifest.json into out_dir."""
+             split: str = "train") -> tuple[DatasetManifest, list[np.ndarray]]:
+    """Write `count` samples plus manifest.json into out_dir; returns the
+    manifest and each sample's [K,4] labels, in manifest order."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     spec.validate()
@@ -211,7 +212,7 @@ def generate(spec: SynthSpec, count: int, out_dir: str | os.PathLike,
     out.mkdir(parents=True, exist_ok=True)
 
     smap = grid_superpixels(spec.image_size, spec.image_size, spec.cell)
-    entries = []
+    entries, all_labels = [], []
     for i in range(count):
         rng = np.random.default_rng([spec.seed, i])
         regions = sample_regions(spec, rng)
@@ -226,11 +227,12 @@ def generate(spec: SynthSpec, count: int, out_dir: str | os.PathLike,
         write_superpixel_map(smap, out / entry.superpixels)
         write_labels(labels, out / entry.labels)
         entries.append(entry)
+        all_labels.append(labels)
 
     manifest = DatasetManifest(split=split, image_size=spec.image_size,
                                seed=spec.seed, samples=entries)
     write_json(out / "manifest.json", asdict(manifest))
-    return manifest
+    return manifest, all_labels
 
 
 @dataclass

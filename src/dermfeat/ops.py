@@ -12,6 +12,15 @@ the weights' shape and only the zero padding as an argument; pools take
 non-overlapping 2x2 windows. Backward passes return exact analytic gradients of
 sum(grad_output * forward(...)) and are verified against central finite
 differences in the test suite.
+
+Convolution is lowered to BLAS (Chellapilla et al., High Performance
+Convolutional Neural Networks for Document Processing, 2006) without an
+im2col copy. The input is zero-padded once and flattened to [C_in, N]
+with padded row length Wp. Computing every output row at the full width
+Wp makes each kernel tap read one contiguous column range, so the tap is
+one [C_out,C_in] @ [C_in,out_h*Wp] matmul. The kw-1 columns per row whose
+windows wrap into the next row are dropped from the result, and held at
+zero in the backward pass's output gradient.
 """
 
 from __future__ import annotations
@@ -62,28 +71,50 @@ def _conv_output_size(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     return out_h, out_w
 
 
+def _padded_flat(x: np.ndarray, padding: int) -> tuple[np.ndarray, int]:
+    """Zero-pad x [C,H,W] by `padding` on every side plus one extra bottom
+    row, flattened to [C, (H+2p+1)*(W+2p)]; returns it and the padded width.
+
+    Tap (ki, kj) of a convolution producing out_h rows then reads the
+    contiguous columns ki*Wp+kj onward, out_h*Wp of them. The extra row
+    keeps the last tap's slice in bounds.
+    """
+    c, h, w = x.shape
+    p = padding
+    xp = np.zeros((c, h + 2 * p + 1, w + 2 * p))
+    xp[:, p:p + h, p:p + w] = x
+    return xp.reshape(c, -1), w + 2 * p
+
+
 def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
            padding: int) -> np.ndarray:
     """2D cross-correlation of x [C_in,H,W] with weights [C_out,C_in,kh,kw]
     at every offset, after zero-padding x by `padding` on every side.
 
     Each output element is bias[o] plus the sum over the C_in x kh x kw
-    window of elementwise products.
+    window of elementwise products. Output pixel (i, j) of tap (ki, kj)
+    reads flat column (i+ki)*Wp + j+kj of the padded input, so the tap
+    adds weights[:, :, ki, kj] @ flat[:, ki*Wp+kj:][:, :out_h*Wp] into a
+    [C_out, out_h*Wp] accumulator; its last kw-1 columns per row hold
+    wrapped windows and are dropped.
     """
     x = as_f64(x)
     weights = as_f64(weights)
     bias = as_f64(bias)
     out_h, out_w = _conv_output_size(x, weights, bias, padding)
 
-    p = padding
-    xp = np.pad(x, ((0, 0), (p, p), (p, p))) if p else x
-    out = np.zeros((weights.shape[0], out_h, out_w))
-    for ki in range(weights.shape[2]):
-        for kj in range(weights.shape[3]):
-            patch = xp[:, ki:ki + out_h, kj:kj + out_w]
-            out += np.einsum("oc,chw->ohw", weights[:, :, ki, kj], patch)
-    out += bias[:, None, None]
-    return out
+    flat, wp = _padded_flat(x, padding)
+    n = out_h * wp
+    c_out, _, kh, kw = weights.shape
+    # [kh,kw,C_out,C_in]: each tap's matrix reaches BLAS contiguous.
+    taps = np.ascontiguousarray(weights.transpose(2, 3, 0, 1))
+    acc = np.zeros((c_out, n))
+    for ki in range(kh):
+        for kj in range(kw):
+            cols = slice(ki * wp + kj, ki * wp + kj + n)
+            acc += taps[ki, kj] @ flat[:, cols]
+    out = acc.reshape(c_out, out_h, wp)[:, :, :out_w]
+    return out + bias[:, None, None]
 
 
 def conv2d_backward(x: np.ndarray, weights: np.ndarray, padding: int,
@@ -91,7 +122,12 @@ def conv2d_backward(x: np.ndarray, weights: np.ndarray, padding: int,
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of sum(grad_output * conv2d(x, weights, bias, padding)).
 
-    Returns (grad_input, grad_weights, grad_bias).
+    Returns (grad_input, grad_weights, grad_bias). The lowering of conv2d:
+    grad_output is embedded in a [C_out, out_h*Wp] buffer g that is zero
+    in the wrapped columns. Tap (ki, kj), reading the input columns s,
+    gives grad_weights[:, :, ki, kj] = g @ flat[:, s].T and adds
+    weights[:, :, ki, kj].T @ g into columns s of the padded input's
+    gradient.
     """
     x = as_f64(x)
     weights = as_f64(weights)
@@ -105,19 +141,22 @@ def conv2d_backward(x: np.ndarray, weights: np.ndarray, padding: int,
         )
 
     p = padding
-    _, in_h, in_w = x.shape
-    xp = np.pad(x, ((0, 0), (p, p), (p, p))) if p else x
-    grad_xp = np.zeros_like(xp)
-    grad_w = np.zeros_like(weights)
-    for ki in range(weights.shape[2]):
-        for kj in range(weights.shape[3]):
-            rows = slice(ki, ki + out_h)
-            cols = slice(kj, kj + out_w)
-            grad_w[:, :, ki, kj] = np.einsum("ohw,chw->oc", grad_output,
-                                             xp[:, rows, cols])
-            grad_xp[:, rows, cols] += np.einsum(
-                "oc,ohw->chw", weights[:, :, ki, kj], grad_output)
-    grad_x = grad_xp[:, p:p + in_h, p:p + in_w] if p else grad_xp
+    c_in, in_h, in_w = x.shape
+    c_out, _, kh, kw = weights.shape
+    flat, wp = _padded_flat(x, p)
+    n = out_h * wp
+    g = np.zeros((c_out, out_h, wp))
+    g[:, :, :out_w] = grad_output
+    g = g.reshape(c_out, n)
+    taps = np.ascontiguousarray(weights.transpose(2, 3, 0, 1))
+    grad_flat = np.zeros_like(flat)
+    grad_w = np.empty_like(weights)
+    for ki in range(kh):
+        for kj in range(kw):
+            cols = slice(ki * wp + kj, ki * wp + kj + n)
+            grad_w[:, :, ki, kj] = g @ flat[:, cols].T
+            grad_flat[:, cols] += taps[ki, kj].T @ g
+    grad_x = grad_flat.reshape(c_in, -1, wp)[:, p:p + in_h, p:p + in_w]
     grad_b = grad_output.sum(axis=(1, 2))
     return grad_x, grad_w, grad_b
 

@@ -75,9 +75,10 @@ def _check_finite(epoch: int, batch: int, tensors: dict) -> None:
                                      f"batch {batch}: {name} is not finite")
 
 
-# Divergence makes NaNs (inf - inf) inside the ops; each one reaches a
-# tensor that _check_finite names, so numpy's warning would only be noise.
-@np.errstate(invalid="ignore")
+# Divergence makes infs (a BLAS matmul overflows) and NaNs (inf - inf)
+# inside the ops; each one reaches a tensor that _check_finite names, so
+# numpy's warning would only be noise.
+@np.errstate(over="ignore", invalid="ignore")
 def train(dataset: Sequence[Sample],
           cfg: TrainConfig) -> tuple[ModelParams, TrainReport]:
     """Run the full training loop; returns (params, per-epoch report)."""

@@ -58,6 +58,20 @@ class TestGenData:
         manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
         assert len(manifest["samples"]) == 3
 
+    def test_prints_per_class_positive_counts(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "gen-data", "--out", str(tmp_path / "ds"),
+                           "--count", "6", "--size", "16", "--cell", "4",
+                           "--seed", "7")
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            f"wrote 6 samples to {tmp_path / 'ds'}",
+            "class              positive superpixels       of",
+            "pigment_network                       9       96",
+            "negative_network                      9       96",
+            "milia_like_cyst                      16       96",
+            "streaks                              11       96",
+        ]
+
     def test_rerun_is_byte_identical(self, capsys, tmp_path):
         args = ["gen-data", "--count", "3", "--size", "16", "--cell", "4",
                 "--seed", "9"]

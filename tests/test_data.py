@@ -85,15 +85,16 @@ class TestRegionLabels:
 
 class TestLoad:
     def test_round_trips_labels_exactly(self, tmp_path):
-        manifest = data.generate(FAST_SPEC, 6, tmp_path)
+        manifest, labels = data.generate(FAST_SPEC, 6, tmp_path)
         samples = data.load(tmp_path / "manifest.json")
-        assert len(samples) == len(manifest.samples)
+        assert len(samples) == len(manifest.samples) == len(labels)
         smap = grid_superpixels(16, 16, 4)
         for i, sample in enumerate(samples):
             rng = np.random.default_rng([FAST_SPEC.seed, i])
             regions = data.sample_regions(FAST_SPEC, rng)
             np.testing.assert_array_equal(
                 sample.labels, data.labels_from_regions(smap, regions))
+            np.testing.assert_array_equal(sample.labels, labels[i])
 
     def test_representation_chain_consistency(self, tmp_path):
         data.generate(FAST_SPEC, 6, tmp_path)

@@ -27,6 +27,31 @@ def conv2d_oracle(x, w, b, p):
     return out
 
 
+def conv2d_backward_oracle(x, w, p, g):
+    """A tap loop of einsums over strided windows: the products of
+    conv2d_backward's per-tap matmuls summed in another order, so the two
+    agree to rounding."""
+    out_h, out_w = g.shape[1:]
+    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
+    grad_xp = np.zeros_like(xp)
+    grad_w = np.zeros_like(w)
+    for ki in range(w.shape[2]):
+        for kj in range(w.shape[3]):
+            rows = slice(ki, ki + out_h)
+            cols = slice(kj, kj + out_w)
+            grad_w[:, :, ki, kj] = np.einsum("ohw,chw->oc", g, xp[:, rows, cols])
+            grad_xp[:, rows, cols] += np.einsum("oc,ohw->chw", w[:, :, ki, kj], g)
+    in_h, in_w = x.shape[1:]
+    return grad_xp[:, p:p + in_h, p:p + in_w], grad_w, g.sum(axis=(1, 2))
+
+
+# (input [C,H,W], kernel kh x kw, padding). (3,3,2) pads beyond k // 2,
+# so the output outgrows the input: the edge case of the extra-row
+# layout. The last two give a 1-row and a 1-column output.
+CONV_CASES = [((3, 6, 8), 3, 3, 1), ((3, 6, 8), 2, 3, 0), ((3, 6, 8), 1, 1, 0),
+              ((3, 6, 8), 3, 3, 2), ((3, 3, 8), 3, 3, 0), ((3, 6, 1), 3, 3, 1)]
+
+
 def lerp_backward_oracle(grad, lo, hi, frac, n_in):
     """np.add.at scatter along the last axis, the reference the
     loop-based resize backward must match bit for bit."""
@@ -56,8 +81,8 @@ class TestConv2d:
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(3)
-        for kh, kw, padding in ((3, 3, 1), (2, 3, 0), (1, 1, 0), (3, 3, 2)):
-            x = rng.normal(size=(3, 6, 8))
+        for shape, kh, kw, padding in CONV_CASES:
+            x = rng.normal(size=shape)
             w = rng.normal(size=(2, 3, kh, kw))
             b = rng.normal(size=2)
             np.testing.assert_allclose(ops.conv2d(x, w, b, padding),
@@ -142,6 +167,19 @@ class TestConv2dBackward:
         rep = gradcheck(lambda v: float((g * ops.conv2d(x, w, v, 1)).sum()),
                         b, gb, step=1e-5, tolerance=1e-6)
         assert rep.passed, rep.summary()
+
+    @pytest.mark.parametrize("shape,kh,kw,padding", CONV_CASES)
+    def test_matches_einsum_tap_loop(self, shape, kh, kw, padding):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=shape)
+        w = rng.normal(size=(4, shape[0], kh, kw))
+        out_shape = ops.conv2d(x, w, np.zeros(4), padding).shape
+        g = rng.normal(size=out_shape)
+        got = ops.conv2d_backward(x, w, padding, g)
+        want = conv2d_backward_oracle(x, w, padding, g)
+        for name, a, b in zip(("input", "weights", "bias"), got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13,
+                                       err_msg=f"grad {name}")
 
     def test_rejects_wrong_grad_shape(self):
         x = np.zeros((1, 4, 4))
