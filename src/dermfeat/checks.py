@@ -34,11 +34,11 @@ def _well_conditioned(params: model.ModelParams, cfg: EncoderConfig,
     """True when every pre-activation sits away from the relu kink and
     every pool window has a clear winner."""
     for i in range(cfg.block_count):
-        z = ops.conv2d(cache.block_input(i), params[f"block{i + 1}.weight"],
+        z = ops.conv2d(cache.block_inputs[i], params[f"block{i + 1}.weight"],
                        params[f"block{i + 1}.bias"], model.KERNEL // 2)
         if np.abs(z).min() <= SMOOTH_MARGIN:
             return False
-    for a, _ in zip(cache.taps[:-1], cache.pool_argmax):
+    for a in cache.taps[:-1]:
         c, h, w = a.shape
         windows = a.reshape(c, h // 2, 2, w // 2, 2)
         windows = windows.transpose(0, 1, 3, 2, 4).reshape(c, h // 2, w // 2, 4)

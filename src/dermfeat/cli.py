@@ -243,6 +243,11 @@ def cmd_eval(cfg: dict) -> int:
     out = Path(_require(cfg, "out", "eval"))
 
     by_image = read_json(pred_path, "predictions", _parse_predictions)
+    listed = {s.name for s in samples}
+    for name in by_image:
+        if name not in listed:
+            raise RuntimeError(f"{pred_path}: prediction for image '{name}' "
+                               f"is not in manifest {cfg['data']}")
     for s in samples:
         if s.name not in by_image:
             raise RuntimeError(f"{pred_path}: prediction missing for image {s.name}")

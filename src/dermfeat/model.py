@@ -130,17 +130,9 @@ def check_params(params: ModelParams, cfg: EncoderConfig) -> None:
 class ForwardCache:
     """Intermediates retained for the backward pass."""
 
-    image: np.ndarray                # block 1's conv input
+    block_inputs: list[np.ndarray]   # the image, then each pooled tap
     taps: list[np.ndarray]           # post-relu activations (pre-pool)
-    pool_argmax: list[np.ndarray]    # one per pooled gap
     probs: np.ndarray
-
-    def block_input(self, i: int) -> np.ndarray:
-        """Conv input of block i (from 0): the image, else the pooled tap
-        i - 1, rebuilt exactly as the tap's values at the pool argmax."""
-        if i == 0:
-            return self.image
-        return self.taps[i - 1].ravel()[self.pool_argmax[i - 1]]
 
 
 def forward(params: ModelParams, cfg: EncoderConfig,
@@ -151,16 +143,14 @@ def forward(params: ModelParams, cfg: EncoderConfig,
     check_params(params, cfg)
     h, w = image.shape[1], image.shape[2]
 
-    x = image
-    taps, pool_argmax = [], []
+    block_inputs, taps = [image], []
     for i in range(cfg.block_count):
         block = f"block{i + 1}"
-        a = ops.relu(ops.conv2d(x, params[f"{block}.weight"],
+        a = ops.relu(ops.conv2d(block_inputs[i], params[f"{block}.weight"],
                                 params[f"{block}.bias"], KERNEL // 2))
         taps.append(a)
         if i + 1 < cfg.block_count:
-            x, argmax = ops.maxpool2d(a)
-            pool_argmax.append(argmax)
+            block_inputs.append(ops.maxpool2d(a))
 
     # Each tap's head slice at the tap's resolution; only the class maps
     # are resized to the input and summed onto the bias.
@@ -170,7 +160,7 @@ def forward(params: ModelParams, cfg: EncoderConfig,
                   for a, w_a in zip(taps, head)),
                  start=params["head.bias"][:, None, None])
     probs = ops.sigmoid(logits)
-    cache = ForwardCache(image, taps, pool_argmax, probs)
+    cache = ForwardCache(block_inputs, taps, probs)
     return probs, cache
 
 
@@ -204,10 +194,10 @@ def backward(params: ModelParams, cfg: EncoderConfig, cache: ForwardCache,
         g_z = ops.relu_backward(tap, g_tap)
         block = f"block{i + 1}"
         g_x, grads[f"{block}.weight"], grads[f"{block}.bias"] = ops.conv2d_backward(
-            cache.block_input(i), params[f"{block}.weight"], KERNEL // 2, g_z)
+            cache.block_inputs[i], params[f"{block}.weight"], KERNEL // 2, g_z)
         if i > 0:
-            g_from_pool = ops.maxpool2d_backward(cache.pool_argmax[i - 1], g_x,
-                                                 cache.taps[i - 1].shape)
+            g_from_pool = ops.maxpool2d_backward(cache.taps[i - 1],
+                                                 cache.block_inputs[i], g_x)
     grads["head.weight"] = ops.concat_channels(g_head)
     return grads, g_x
 

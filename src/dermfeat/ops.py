@@ -1,17 +1,18 @@
 """Dense float64 tensor kernels: forward and backward passes for every
 operation the model needs (conv, pool, relu, sigmoid, bilinear resize),
-plus concat and split along the channel axis.
+plus concat and split of the head weight along its input channels.
 
 All operations are pure functions over C-order float64 numpy arrays with
-layout [channels, height, width]. Concat and split act on axis -3, which
-is also a weight's C_in: the model splits its 1x1 head weight per tap,
-so it evaluates the hypercolumn head tap by tap and never concatenates
-the resized taps themselves. Geometry is read from the operands:
-convolutions slide one pixel at a time, take their kernel extents from
-the weights' shape and only the zero padding as an argument; pools take
-non-overlapping 2x2 windows. Backward passes return exact analytic gradients of
-sum(grad_output * forward(...)) and are verified against central finite
-differences in the test suite.
+layout [channels, height, width]. Concat and split act on the C_in axis
+of a [C_out,C_in,kh,kw] weight: the model splits its 1x1 head weight per
+tap, so it evaluates the hypercolumn head tap by tap and never
+concatenates the resized taps themselves. Geometry is read from the
+operands: convolutions slide one pixel at a time, take their kernel
+extents from the weights' shape and only the zero padding as an argument;
+pools take non-overlapping 2x2 windows and send each window's gradient
+to its first max in row-major order. Backward passes return exact
+analytic gradients of sum(grad_output * forward(...)) and are verified
+against central finite differences in the test suite.
 
 Convolution is lowered to BLAS (Chellapilla et al., High Performance
 Convolutional Neural Networks for Document Processing, 2006) without an
@@ -33,7 +34,7 @@ def as_f64(x) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(x, dtype=np.float64))
 
 
-def _conv_output_size(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
+def _conv_output_size(x: np.ndarray, weights: np.ndarray,
                       padding: int) -> tuple[int, int]:
     """Check conv2d operand shapes; returns the output extents."""
     if x.ndim != 3:
@@ -46,11 +47,6 @@ def _conv_output_size(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
         raise ValueError(
             f"conv2d channel mismatch: input has {x.shape[0]} channels "
             f"but weights dim 1 is {weights.shape[1]}"
-        )
-    if bias.shape != (weights.shape[0],):
-        raise ValueError(
-            f"conv2d bias shape {bias.shape} does not match "
-            f"{weights.shape[0]} output channels"
         )
     if padding < 0:
         raise ValueError(f"conv padding must be non-negative, got {padding}")
@@ -101,7 +97,12 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     x = as_f64(x)
     weights = as_f64(weights)
     bias = as_f64(bias)
-    out_h, out_w = _conv_output_size(x, weights, bias, padding)
+    out_h, out_w = _conv_output_size(x, weights, padding)
+    if bias.shape != (weights.shape[0],):
+        raise ValueError(
+            f"conv2d bias shape {bias.shape} does not match "
+            f"{weights.shape[0]} output channels"
+        )
 
     flat, wp = _padded_flat(x, padding)
     n = out_h * wp
@@ -132,8 +133,7 @@ def conv2d_backward(x: np.ndarray, weights: np.ndarray, padding: int,
     x = as_f64(x)
     weights = as_f64(weights)
     grad_output = as_f64(grad_output)
-    out_h, out_w = _conv_output_size(x, weights, np.zeros(weights.shape[0]),
-                                     padding)
+    out_h, out_w = _conv_output_size(x, weights, padding)
     if grad_output.shape != (weights.shape[0], out_h, out_w):
         raise ValueError(
             f"conv2d_backward grad_output shape {grad_output.shape} does not "
@@ -161,50 +161,56 @@ def conv2d_backward(x: np.ndarray, weights: np.ndarray, padding: int,
     return grad_x, grad_w, grad_b
 
 
-def maxpool2d(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def maxpool2d(x: np.ndarray) -> np.ndarray:
     """2x2 max pooling over non-overlapping windows of [C,H,W]; H and W
     must be even.
 
-    Returns (output, argmax) where argmax holds, per output element, the
-    flat row-major index into x of the selected input. Ties break toward
-    the smallest flat index, making the backward pass deterministic.
+    The elementwise max of the four strided views x[:, i::2, j::2]. A
+    window whose max is a zero held as both 0.0 and -0.0 may pool to
+    either sign, because np.maximum returns its second operand on a tie.
+    No tap holds -0.0: relu is np.maximum(x, 0.0), which maps -0.0 to
+    +0.0.
     """
     x = as_f64(x)
     if x.ndim != 3:
         raise ValueError(f"maxpool2d input must be [C,H,W], got {x.ndim} dimensions")
-    c, h, w = x.shape
+    _, h, w = x.shape
     if h % 2:
         raise ValueError(f"maxpool2d height {h} is odd")
     if w % 2:
         raise ValueError(f"maxpool2d width {w} is odd")
-    oh, ow = h // 2, w // 2
-    # Window candidates ordered row-major so argmax's first-match rule
-    # selects the smallest flat index on ties.
-    windows = x.reshape(c, oh, 2, ow, 2).transpose(0, 1, 3, 2, 4).reshape(c, oh, ow, 4)
-    k = np.argmax(windows, axis=-1)
-    out = np.take_along_axis(windows, k[..., None], axis=-1)[..., 0]
-    ci = np.arange(c)[:, None, None]
-    ri = 2 * np.arange(oh)[None, :, None] + k // 2
-    cj = 2 * np.arange(ow)[None, None, :] + k % 2
-    argmax = (ci * h + ri) * w + cj
-    return out, argmax
+    return np.maximum(np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2]),
+                      np.maximum(x[:, 1::2, 0::2], x[:, 1::2, 1::2]))
 
 
-def maxpool2d_backward(argmax: np.ndarray, grad_output: np.ndarray,
-                       input_shape: tuple[int, int, int]) -> np.ndarray:
-    """Route grad_output entries to their argmax positions in the input."""
+def maxpool2d_backward(x: np.ndarray, out: np.ndarray,
+                       grad_output: np.ndarray) -> np.ndarray:
+    """Gradient of sum(grad_output * maxpool2d(x)), given out = maxpool2d(x).
+
+    Each grad_output entry goes to the first position of its window, in
+    row-major order, whose value equals out; the rest get 0.0. A -0.0
+    entry arrives as +0.0, as a sum from 0.0 gives.
+    """
+    x = as_f64(x)
+    out = as_f64(out)
     grad_output = as_f64(grad_output)
-    if grad_output.shape != argmax.shape:
+    if grad_output.shape != out.shape:
         raise ValueError(
             f"maxpool2d_backward grad_output shape {grad_output.shape} does "
-            f"not match argmax shape {argmax.shape}"
+            f"not match pooled shape {out.shape}"
         )
-    # bincount sums each target's weights from 0.0 in source order, as
-    # np.add.at does, in one pass; windows never overlap, so every sum
-    # has at most one term.
-    grad_x = np.bincount(argmax.ravel(), weights=grad_output.ravel(),
-                         minlength=int(np.prod(input_shape)))
-    return grad_x.reshape(input_shape)
+    if x.shape != (out.shape[0], 2 * out.shape[1], 2 * out.shape[2]):
+        raise ValueError(f"maxpool2d_backward input shape {x.shape} does not "
+                         f"pool to shape {out.shape}")
+    g = grad_output + 0.0
+    grad_x = np.empty_like(x)  # the four views below tile it
+    free = np.ones(out.shape, dtype=bool)  # window not yet routed
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        hit = free & (x[:, i::2, j::2] == out)
+        # Not g * hit: a negative g times False is -0.0.
+        grad_x[:, i::2, j::2] = np.where(hit, g, 0.0)
+        free &= ~hit
+    return grad_x
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -325,38 +331,34 @@ def bilinear_resize_backward(grad_output: np.ndarray, in_h: int,
 
 
 def concat_channels(inputs: list[np.ndarray]) -> np.ndarray:
-    """Stack [C_k,H,W] maps, [B,C_k,H,W] batches or [C_out,C_k,kh,kw]
-    weights along the channel axis -3 in argument order."""
+    """Stack [C_out,C_k,kh,kw] weights along C_in (axis 1) in argument order."""
     if not inputs:
         raise ValueError("concat_channels requires at least one input")
     arrs = [as_f64(a) for a in inputs]
     first = arrs[0].shape
     for k, a in enumerate(arrs):
-        if a.ndim not in (3, 4):
-            raise ValueError(f"concat_channels input {k} must have 3 or 4 "
-                             f"dimensions, got {a.ndim}")
-        if a.shape[:-3] + a.shape[-2:] != first[:-3] + first[-2:]:
+        if a.ndim != 4 or a.shape[:1] + a.shape[2:] != first[:1] + first[2:]:
             raise ValueError(
-                f"concat_channels input {k} has shape {a.shape}, which differs "
-                f"from input 0's {first} off the channel axis -3 "
-                f"(batch or spatial extents)"
+                f"concat_channels input {k} has shape {a.shape}: inputs must "
+                f"be [C_out,C_k,kh,kw] and match input 0's {first} off the "
+                f"channel axis 1"
             )
-    return np.concatenate(arrs, axis=-3)
+    return np.concatenate(arrs, axis=1)
 
 
 def split_channels(x: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
-    """Inverse of concat_channels: split along the channel axis -3 by sizes."""
+    """Inverse of concat_channels: views of x split along C_in by sizes."""
     x = as_f64(x)
-    if x.ndim not in (3, 4):
-        raise ValueError(f"split_channels input must have 3 or 4 dimensions, "
-                         f"got {x.ndim}")
-    if sum(sizes) != x.shape[-3]:
+    if x.ndim != 4:
+        raise ValueError(f"split_channels input must be [C_out,C_in,kh,kw], "
+                         f"got {x.ndim} dimensions")
+    if sum(sizes) != x.shape[1]:
         raise ValueError(
             f"split_channels sizes sum to {sum(sizes)}, input has "
-            f"{x.shape[-3]} channels"
+            f"{x.shape[1]} channels"
         )
     out, offset = [], 0
     for c in sizes:
-        out.append(x[..., offset:offset + c, :, :].copy())
+        out.append(x[:, offset:offset + c])
         offset += c
     return out

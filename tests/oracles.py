@@ -19,3 +19,28 @@ def auroc_oracle(scores, labels) -> float:
     wins = np.count_nonzero(pos[:, None] > neg[None, :])
     ties = np.count_nonzero(pos[:, None] == neg[None, :])
     return float((wins + 0.5 * ties) / (pos.size * neg.size))
+
+
+def maxpool2d_oracle(x):
+    """The argmax 2x2 pool: (output, argmax), where argmax holds, per
+    output element, the flat row-major index into x [C,H,W] of the input
+    it selects. Ties break toward the smallest flat index."""
+    c, h, w = x.shape
+    oh, ow = h // 2, w // 2
+    # Window candidates ordered row-major, so argmax's first-match rule
+    # selects the smallest flat index on ties.
+    windows = x.reshape(c, oh, 2, ow, 2).transpose(0, 1, 3, 2, 4).reshape(c, oh, ow, 4)
+    k = np.argmax(windows, axis=-1)
+    out = np.take_along_axis(windows, k[..., None], axis=-1)[..., 0]
+    ci = np.arange(c)[:, None, None]
+    ri = 2 * np.arange(oh)[None, :, None] + k // 2
+    cj = 2 * np.arange(ow)[None, None, :] + k % 2
+    return out, (ci * h + ri) * w + cj
+
+
+def maxpool2d_backward_oracle(argmax, grad_output, input_shape):
+    """Route each grad_output entry to its argmax position with np.add.at,
+    summing from 0.0."""
+    grad_x = np.zeros(math.prod(input_shape))
+    np.add.at(grad_x, argmax.ravel(), grad_output.ravel())
+    return grad_x.reshape(input_shape)

@@ -593,3 +593,22 @@ def test_malformed_json_input_exits_1_naming_file(capsys, small_dataset,
                        "--out", str(tmp_path / "run"))
     assert code == 1
     assert str(root / target) in err and message in err
+
+
+def test_prediction_for_unlisted_image_exits_1(capsys, small_dataset, tmp_path):
+    from dermfeat import data as data_mod
+    root = tmp_path / "ds"
+    shutil.copytree(small_dataset, root)
+    entries = [{"image": s.name, "scores": s.labels.tolist()}
+               for s in data_mod.load(root / "manifest.json")]
+    (root / "pred.json").write_text(json.dumps(entries))
+    _edit_json(root / "manifest.json",
+               lambda d: {**d, "samples": d["samples"][:3]})
+    code, _, err = run(capsys, "eval", "--pred", str(root / "pred.json"),
+                       "--data", str(root / "manifest.json"),
+                       "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert err == (f"error: {root / 'pred.json'}: prediction for image "
+                   f"'{entries[3]['image']}' is not in manifest "
+                   f"{root / 'manifest.json'}\n")
+    assert not (tmp_path / "run").exists()
