@@ -448,10 +448,18 @@ class TestConcat:
         np.testing.assert_array_equal(out[:, 1:], b)
 
     def test_split_is_inverse(self):
+        rng = np.random.default_rng(17)
+        xs = [rng.normal(size=(2, c, 3, 3)) for c in (1, 2, 4)]
+        parts = ops.split_channels(ops.concat_channels(xs), [1, 2, 4])
+        for x, part in zip(xs, parts):
+            np.testing.assert_array_equal(part, x)
+
+    @pytest.mark.parametrize("lead, tail", [((4,), (1, 1))], ids=["head-weight"])
+    def test_4d_round_trip_on_axis_minus_3(self, lead, tail):
         rng = np.random.default_rng(19)
-        xs = [rng.normal(size=(4, c, 1, 1)) for c in (1, 2, 4)]
+        xs = [rng.normal(size=(*lead, c, *tail)) for c in (1, 2, 4)]
         cat = ops.concat_channels(xs)
-        assert cat.shape == (4, 7, 1, 1)
+        assert cat.shape == (*lead, 7, *tail)
         np.testing.assert_array_equal(cat, np.concatenate(xs, axis=1))
         parts = ops.split_channels(cat, [1, 2, 4])
         for x, part in zip(xs, parts):
