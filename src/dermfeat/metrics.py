@@ -80,8 +80,9 @@ def evaluate(predictions, truths, sample_ids=None) -> RocResult:
     """Pool superpixels across all images per class and compute AUROC.
 
     predictions and truths are parallel sequences of [K_i, 4] arrays
-    (scores in [0,1], binary labels). The macro average runs over the
-    classes whose pooled pool contains both positives and negatives.
+    (scores in [0,1], binary labels). A non-finite score or one outside
+    [0,1] raises ValueError naming its sample. The macro average runs over
+    the classes whose pooled pool contains both positives and negatives.
     """
     if len(predictions) != len(truths):
         raise ValueError(f"{len(predictions)} prediction sets but "
@@ -98,6 +99,8 @@ def evaluate(predictions, truths, sample_ids=None) -> RocResult:
                 f"shape {truth.shape} (expected [K,{CLASS_COUNT}])")
         if not np.isfinite(pred).all():
             raise ValueError(f"{sid}: prediction scores must be finite")
+        if not ((pred >= 0.0) & (pred <= 1.0)).all():
+            raise ValueError(f"{sid}: prediction scores must lie in [0, 1]")
         pooled_scores.append(pred)
         pooled_labels.append(truth)
     scores = np.concatenate(pooled_scores, axis=0)

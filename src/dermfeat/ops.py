@@ -10,9 +10,10 @@ concatenates the resized taps themselves. Geometry is read from the
 operands: convolutions slide one pixel at a time, take their kernel
 extents from the weights' shape and only the zero padding as an argument;
 pools take non-overlapping 2x2 windows and send each window's gradient
-to its first max in row-major order. Backward passes return exact
-analytic gradients of sum(grad_output * forward(...)) and are verified
-against central finite differences in the test suite.
+to its first max in row-major order. The bilinear resize backward is the
+transpose of the forward's per-axis sampling matrices. Backward passes
+return exact analytic gradients of sum(grad_output * forward(...)) and
+are verified against central finite differences in the test suite.
 
 Convolution is lowered to BLAS (Chellapilla et al., High Performance
 Convolutional Neural Networks for Document Processing, 2006) without an
@@ -272,6 +273,17 @@ def _resize_axis_coords(n_in: int, n_out: int
     return lo, hi, src - lo
 
 
+def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
+    """The [n_out, n_in] sampling matrix of one resize axis: row i holds
+    1 - frac at lo and frac at hi, so a lo == hi row holds exactly 1.0."""
+    lo, hi, frac = _resize_axis_coords(n_in, n_out)
+    m = np.zeros((n_out, n_in))
+    rows = np.arange(n_out)
+    m[rows, lo] = 1.0 - frac
+    m[rows, hi] += frac
+    return m
+
+
 def _lerp(x: np.ndarray, axis: int, lo: np.ndarray, hi: np.ndarray,
           frac: np.ndarray) -> np.ndarray:
     a = x.take(lo, axis=axis)
@@ -283,21 +295,6 @@ def _lerp(x: np.ndarray, axis: int, lo: np.ndarray, hi: np.ndarray,
     out *= frac.reshape((-1,) + (1,) * (x.ndim - 1 - axis))
     out += a
     return out
-
-
-def _lerp_backward(grad: np.ndarray, axis: int, lo: np.ndarray, hi: np.ndarray,
-                   frac: np.ndarray, n_in: int) -> np.ndarray:
-    # Each target sums its lo products in increasing i, then its hi
-    # products, starting from 0.0: the order and rounding of np.add.at,
-    # without its per-element cost. Putting the axis first makes every
-    # g[i] and out[j] one contiguous slab.
-    g = np.ascontiguousarray(np.moveaxis(grad, axis, 0))
-    out = np.zeros((n_in,) + g.shape[1:])
-    for i, j in enumerate(lo):
-        out[j] += g[i] * (1.0 - frac[i])
-    for i, j in enumerate(hi):
-        out[j] += g[i] * frac[i]
-    return np.moveaxis(out, 0, axis)
 
 
 def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -316,7 +313,8 @@ def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 def bilinear_resize_backward(grad_output: np.ndarray, in_h: int,
                              in_w: int) -> np.ndarray:
-    """Distribute grad_output [C,out_h,out_w] by the forward's sampling weights."""
+    """Gradient of bilinear_resize for an input [C,in_h,in_w]: the transpose
+    of the per-axis sampling matrices, R_h.T @ grad_output[c] @ R_w."""
     grad_output = as_f64(grad_output)
     if grad_output.ndim != 3:
         raise ValueError(
@@ -324,10 +322,8 @@ def bilinear_resize_backward(grad_output: np.ndarray, in_h: int,
             f"got {grad_output.ndim} dimensions"
         )
     _, out_h, out_w = grad_output.shape
-    rlo, rhi, rfrac = _resize_axis_coords(in_h, out_h)
-    clo, chi, cfrac = _resize_axis_coords(in_w, out_w)
-    gc = _lerp_backward(grad_output, 2, clo, chi, cfrac, in_w)  # [C,out_h,w]
-    return _lerp_backward(gc, 1, rlo, rhi, rfrac, in_h)
+    return (_resize_matrix(in_h, out_h).T @ grad_output
+            @ _resize_matrix(in_w, out_w))
 
 
 def concat_channels(inputs: list[np.ndarray]) -> np.ndarray:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from dermfeat import ops
 from dermfeat.metrics import _check_scores_labels
 
 
@@ -44,3 +45,23 @@ def maxpool2d_backward_oracle(argmax, grad_output, input_shape):
     grad_x = np.zeros(math.prod(input_shape))
     np.add.at(grad_x, argmax.ravel(), grad_output.ravel())
     return grad_x.reshape(input_shape)
+
+
+def lerp_backward_oracle(grad, lo, hi, frac, n_in):
+    """np.add.at scatter along the last axis: the resize backward of one
+    axis, which the fast code must match to rounding."""
+    out = np.zeros(grad.shape[:-1] + (n_in,))
+    np.add.at(out, (..., lo), grad * (1.0 - frac))
+    np.add.at(out, (..., hi), grad * frac)
+    return out
+
+
+def resize_backward_oracle(grad, in_h, in_w):
+    """Gradient of ops.bilinear_resize for an input [C,in_h,in_w] by
+    np.add.at, columns then rows; the fast code matches it to rounding."""
+    _, out_h, out_w = grad.shape
+    rlo, rhi, rfrac = ops._resize_axis_coords(in_h, out_h)
+    clo, chi, cfrac = ops._resize_axis_coords(in_w, out_w)
+    gc = lerp_backward_oracle(grad, clo, chi, cfrac, in_w)
+    return lerp_backward_oracle(gc.transpose(0, 2, 1), rlo, rhi, rfrac,
+                                in_h).transpose(0, 2, 1)

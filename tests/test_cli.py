@@ -595,6 +595,23 @@ def test_malformed_json_input_exits_1_naming_file(capsys, small_dataset,
     assert str(root / target) in err and message in err
 
 
+def test_score_outside_unit_interval_exits_1_naming_image(capsys, small_dataset,
+                                                          tmp_path):
+    from dermfeat import data as data_mod
+    samples = data_mod.load(small_dataset / "manifest.json")
+    entries = [{"image": s.name, "scores": s.labels.tolist()} for s in samples]
+    entries[2]["scores"][0] = [7.0, -3.0, 0.5, 0.5]
+    pred_path = tmp_path / "pred.json"
+    pred_path.write_text(json.dumps(entries))
+    code, _, err = run(capsys, "eval", "--pred", str(pred_path),
+                       "--data", str(small_dataset / "manifest.json"),
+                       "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert err == (f"error: {samples[2].name}: prediction scores must lie "
+                   f"in [0, 1]\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_prediction_for_unlisted_image_exits_1(capsys, small_dataset, tmp_path):
     from dermfeat import data as data_mod
     root = tmp_path / "ds"

@@ -174,6 +174,15 @@ class TestEvaluate:
             evaluate(preds, [np.zeros((3, 4))] * 2,
                      sample_ids=["sample_8", "sample_9"])
 
+    @pytest.mark.parametrize("bad", [7.0, -3.0, 1.0 + 1e-12, -0.5e-300])
+    def test_score_outside_unit_interval_names_the_image(self, bad):
+        preds = [np.full((3, 4), 0.5), np.full((3, 4), 0.5)]
+        preds[1][1, 2] = bad
+        with pytest.raises(ValueError,
+                           match=r"^sample_9: prediction scores must lie in \[0, 1\]$"):
+            evaluate(preds, [np.zeros((3, 4))] * 2,
+                     sample_ids=["sample_8", "sample_9"])
+
     def test_json_payload_shape(self):
         truth = np.zeros((4, 4))
         truth[0] = 1.0

@@ -22,7 +22,8 @@ from dermfeat.model import (KERNEL, WEIGHTS_MAGIC, EncoderConfig,
                             ModelParams, check_params, flatten_params, forward,
                             init_params, load_params, param_specs, save_params,
                             unflatten_params)
-from oracles import maxpool2d_backward_oracle, maxpool2d_oracle
+from oracles import (maxpool2d_backward_oracle, maxpool2d_oracle,
+                     resize_backward_oracle)
 
 TINY = EncoderConfig(channels=(2, 2), in_channels=1)
 
@@ -52,7 +53,7 @@ def hypercolumn_oracle(params, cfg, image, grad_probs):
     g_from_pool = 0.0
     for i in reversed(range(cfg.block_count)):
         b = f"block{i + 1}"
-        g_tap = ops.bilinear_resize_backward(g_resized[i], *taps[i].shape[1:])
+        g_tap = resize_backward_oracle(g_resized[i], *taps[i].shape[1:])
         g_z = ops.relu_backward(taps[i], g_tap + g_from_pool)
         g_x, grads[f"{b}.weight"], grads[f"{b}.bias"] = ops.conv2d_backward(
             block_inputs[i], params[f"{b}.weight"], KERNEL // 2, g_z)
@@ -260,7 +261,9 @@ class TestFactoredHead:
 
 
 # One forward and backward, printed as sha256 per tensor plus the thread
-# count of the process (Linux only; None elsewhere).
+# count of the process (Linux only; None elsewhere). At 128 px OpenBLAS
+# splits some products across two threads; at 32 and 64 px none is large
+# enough, and a two-thread run used no more CPU time than wall time.
 _DETERMINISM_SCRIPT = """
 import hashlib, json, os
 import numpy as np
@@ -269,8 +272,8 @@ from dermfeat.loss import f1_loss_grad
 cfg = model.EncoderConfig()
 params = model.init_params(cfg, 21)
 rng = np.random.default_rng(21)
-image = rng.random((3, 32, 32))
-truth = (rng.random((4, 32, 32)) < 0.3).astype(np.float64)
+image = rng.random((3, 128, 128))
+truth = (rng.random((4, 128, 128)) < 0.3).astype(np.float64)
 probs, cache = model.forward(params, cfg, image)
 grads, g_img = model.backward(params, cfg, cache, f1_loss_grad(probs, truth))
 tensors = {"probs": probs, "image": g_img, **grads}
