@@ -61,31 +61,33 @@ def _config_value(path: Path, key: str, value, default, parse):
 # subcommand -> (help, {key: (default, parser, help)}). Each key is the
 # config-file key and, with "_" as "-", the flag; config values go through
 # the same parser as flag text, and a tuple default marks a list option.
+# A default that a config dataclass holds is read from that class.
 _OPTIONS = {
     "gen-data": ("generate a synthetic dataset", {
         "out": (None, str, "output directory"),
         "count": (200, int, "number of samples"),
-        "size": (64, int, "image extent (square)"),
-        "cell": (8, int, "grid superpixel cell size"),
-        "seed": (0, int, None),
+        "size": (data.SynthSpec.image_size, int, "image extent (square)"),
+        "cell": (data.SynthSpec.cell, int, "grid superpixel cell size"),
+        "seed": (data.SynthSpec.seed, int, None),
         "split": ("train", str, "split tag recorded in the manifest"),
-        "max_regions": (3, int, None),
-        "prevalence": ((0.5, 0.5, 0.5, 0.5), _comma_list(finite_float),
+        "max_regions": (data.SynthSpec.max_regions, int, None),
+        "prevalence": (data.SynthSpec.prevalence, _comma_list(finite_float),
                        "four comma-separated per-class prevalences"),
-        "region_radius_frac": ((0.12, 0.30), _comma_list(finite_float),
+        "region_radius_frac": (data.SynthSpec.region_radius_frac,
+                               _comma_list(finite_float),
                                "smallest and largest region radius as "
                                "fractions of the image size"),
     }),
     "train": ("train on a dataset manifest", {
         "data": (None, str, "manifest path"),
         "out": (None, str, "output directory"),
-        "epochs": (5, int, None),
-        "batch": (12, int, None),
-        "lr": (0.06, finite_float, None),
-        "momentum": (0.9, finite_float, None),
-        "seed": (0, int, None),
-        "eps": (1.0, finite_float, None),
-        "channels": ((8, 16, 32, 64, 64), _comma_list(int),
+        "epochs": (TrainConfig.epochs, int, None),
+        "batch": (TrainConfig.batch_size, int, None),
+        "lr": (TrainConfig.learning_rate, finite_float, None),
+        "momentum": (TrainConfig.momentum, finite_float, None),
+        "seed": (TrainConfig.seed, int, None),
+        "eps": (TrainConfig.eps, finite_float, None),
+        "channels": (EncoderConfig.channels, _comma_list(int),
                      "encoder channels per block, comma-separated"),
     }),
     "predict": ("write superpixel scores per image", {

@@ -9,15 +9,17 @@ import numpy as np
 
 from .ops import as_f64
 
+FLOOR = 1e-4  # smallest denominator of the relative error
+
 
 @dataclass
 class GradCheckReport:
     """Outcome of comparing an analytic gradient against central differences.
 
     Per-element relative error is |analytic - numeric| divided by
-    max(|analytic|, |numeric|, floor); the floor keeps noise in
+    max(|analytic|, |numeric|, FLOOR); the floor keeps noise in
     near-zero gradient entries from registering as spurious error while
-    still certifying |analytic - numeric| <= tolerance * floor there.
+    still certifying |analytic - numeric| <= tolerance * FLOOR there.
     """
 
     passed: bool
@@ -43,7 +45,7 @@ class GradCheckReport:
 
 def gradcheck(fn: Callable[[np.ndarray], float], point: np.ndarray,
               analytic: np.ndarray, *, step: float = 1e-5,
-              tolerance: float = 1e-5, floor: float = 1e-4) -> GradCheckReport:
+              tolerance: float = 1e-5) -> GradCheckReport:
     """Compare `analytic` to central differences of `fn` at `point`.
 
     fn must map an array of point's shape to a finite scalar. Central
@@ -79,7 +81,7 @@ def gradcheck(fn: Callable[[np.ndarray], float], point: np.ndarray,
             continue
         numeric.ravel()[j] = (f_plus - f_minus) / (2.0 * step)
 
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), FLOOR)
     rel = np.abs(analytic - numeric) / denom
     j = int(np.argmax(rel))
     worst = np.unravel_index(j, point.shape)

@@ -243,13 +243,9 @@ def save_params(params: ModelParams, cfg: EncoderConfig,
             fh.write(arr.astype("<f8").tobytes())
 
 
-def load_params(path: str | os.PathLike,
-                cfg: EncoderConfig | None = None
-                ) -> tuple[ModelParams, EncoderConfig]:
+def load_params(path: str | os.PathLike) -> tuple[ModelParams, EncoderConfig]:
     """Read a weights file; verifies magic, header, tensor list, payload
     size and finiteness. Every defect is a ValueError naming the path.
-
-    If cfg is given, the stored geometry must match it exactly.
     """
     spath = os.fspath(path)
     with open(path, "rb") as fh:
@@ -293,9 +289,4 @@ def load_params(path: str | os.PathLike,
     for name, arr in params.items():
         if not np.isfinite(arr).all():
             raise ValueError(f"{spath}: tensor {name} has non-finite values")
-    if cfg is not None:
-        mismatch = _spec_mismatch(specs, param_specs(cfg))
-        if mismatch:
-            raise ValueError(f"{spath}: file geometry does not match config: "
-                             f"{mismatch}")
     return params, file_cfg

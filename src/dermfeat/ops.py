@@ -10,10 +10,11 @@ concatenates the resized taps themselves. Geometry is read from the
 operands: convolutions slide one pixel at a time, take their kernel
 extents from the weights' shape and only the zero padding as an argument;
 pools take non-overlapping 2x2 windows and send each window's gradient
-to its first max in row-major order. The bilinear resize backward is the
-transpose of the forward's per-axis sampling matrices. Backward passes
-return exact analytic gradients of sum(grad_output * forward(...)) and
-are verified against central finite differences in the test suite.
+to its first max in row-major order. The bilinear resize is two products
+with its per-axis sampling matrices, and its backward the same two with
+their transposes. Backward passes return exact analytic gradients of
+sum(grad_output * forward(...)) and are verified against central finite
+differences in the test suite.
 
 Convolution is lowered to BLAS (Chellapilla et al., High Performance
 Convolutional Neural Networks for Document Processing, 2006) without an
@@ -254,13 +255,14 @@ def sigmoid_backward(probs: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
     return grad_output * probs * (1.0 - probs)
 
 
-def _resize_axis_coords(n_in: int, n_out: int
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Corner-aligned source sampling for one axis: (lo, hi, frac).
+def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
+    """The [n_out, n_in] corner-aligned sampling matrix of one resize axis.
 
     Output index i samples source coordinate i*(n_in-1)/(n_out-1)
     (0 when n_out == 1). The product is formed before the division so
     the last output index lands on exactly n_in-1, preserving corners.
+    Row i holds 1 - frac at the coordinate's floor lo and frac at
+    hi = lo+1, clipped to n_in-1, so a lo == hi row holds exactly 1.0.
     """
     if n_out < 1:
         raise ValueError(f"resize output extent must be positive, got {n_out}")
@@ -270,13 +272,7 @@ def _resize_axis_coords(n_in: int, n_out: int
         src = (np.arange(n_out) * float(n_in - 1)) / float(n_out - 1)
     lo = np.minimum(np.floor(src).astype(np.int64), n_in - 1)
     hi = np.minimum(lo + 1, n_in - 1)
-    return lo, hi, src - lo
-
-
-def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
-    """The [n_out, n_in] sampling matrix of one resize axis: row i holds
-    1 - frac at lo and frac at hi, so a lo == hi row holds exactly 1.0."""
-    lo, hi, frac = _resize_axis_coords(n_in, n_out)
+    frac = src - lo
     m = np.zeros((n_out, n_in))
     rows = np.arange(n_out)
     m[rows, lo] = 1.0 - frac
@@ -284,31 +280,20 @@ def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
     return m
 
 
-def _lerp(x: np.ndarray, axis: int, lo: np.ndarray, hi: np.ndarray,
-          frac: np.ndarray) -> np.ndarray:
-    a = x.take(lo, axis=axis)
-    # a + frac*(b - a): exact for constant inputs and at frac == 0. In
-    # place on the gathered b: two output-sized arrays instead of five.
-    # Gathering along the axis keeps the output C-contiguous.
-    out = x.take(hi, axis=axis)
-    out -= a
-    out *= frac.reshape((-1,) + (1,) * (x.ndim - 1 - axis))
-    out += a
-    return out
-
-
 def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Corner-aligned bilinear resize of [C,h,w] to [C,out_h,out_w].
+    """Corner-aligned bilinear resize of [C,h,w] to [C,out_h,out_w]: the
+    per-axis sampling matrices, R_h @ x[c] @ R_w.T.
 
-    Corners are preserved exactly and constant inputs stay constant.
+    Corners and same-size resizes are exact; a constant input stays
+    constant to a few ulp, since each output entry is a BLAS sum of
+    products. A non-finite entry makes its whole output channel
+    non-finite, because its zero weights give 0*inf = nan.
     """
     x = as_f64(x)
     if x.ndim != 3:
         raise ValueError(f"bilinear_resize input must be [C,h,w], got {x.ndim} dimensions")
     _, h, w = x.shape
-    rlo, rhi, rfrac = _resize_axis_coords(h, out_h)
-    clo, chi, cfrac = _resize_axis_coords(w, out_w)
-    return _lerp(_lerp(x, 1, rlo, rhi, rfrac), 2, clo, chi, cfrac)
+    return _resize_matrix(h, out_h) @ x @ _resize_matrix(w, out_w).T
 
 
 def bilinear_resize_backward(grad_output: np.ndarray, in_h: int,

@@ -86,15 +86,14 @@ def validate_labels(labels: np.ndarray, count: int) -> np.ndarray:
     return labels
 
 
-def validate_mask(mask: np.ndarray, height: int | None = None,
-                  width: int | None = None) -> np.ndarray:
+def validate_mask(mask: np.ndarray, height: int, width: int) -> np.ndarray:
     """Check a [4,H,W] mask volume: shape and finite [0,1] values."""
     mask = as_f64(mask)
     if mask.ndim != 3 or mask.shape[0] != CLASS_COUNT:
         raise ValueError(f"mask must be [{CLASS_COUNT},H,W], got shape {mask.shape}")
-    if height is not None and mask.shape[1] != height:
+    if mask.shape[1] != height:
         raise ValueError(f"mask height {mask.shape[1]} != expected {height}")
-    if width is not None and mask.shape[2] != width:
+    if mask.shape[2] != width:
         raise ValueError(f"mask width {mask.shape[2]} != expected {width}")
     if not np.isfinite(mask).all():
         raise ValueError("mask values must be finite")

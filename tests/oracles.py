@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 
-from dermfeat import ops
 from dermfeat.metrics import _check_scores_labels
 
 
@@ -47,6 +46,30 @@ def maxpool2d_backward_oracle(argmax, grad_output, input_shape):
     return grad_x.reshape(input_shape)
 
 
+def _resize_coords(n_in, n_out):
+    """Corner-aligned sampling of one resize axis: (lo, hi, frac), where
+    output i reads source coordinate i*(n_in-1)/(n_out-1), 0 when
+    n_out == 1. np.linspace forms the coordinates, not ops' formula."""
+    src = np.linspace(0.0, n_in - 1, n_out)
+    lo = np.floor(src).astype(np.int64)
+    hi = np.minimum(lo + 1, n_in - 1)
+    return lo, hi, src - lo
+
+
+def _lerp(x, n_out):
+    """Out-of-place a + frac*(b - a) along the last axis."""
+    lo, hi, frac = _resize_coords(x.shape[-1], n_out)
+    a = x[..., lo]
+    return a + frac * (x[..., hi] - a)
+
+
+def resize_oracle(x, out_h, out_w):
+    """ops.bilinear_resize of [C,h,w] by two lerps, rows then columns;
+    the fast code matches it to rounding."""
+    rows = _lerp(x.transpose(0, 2, 1), out_h).transpose(0, 2, 1)
+    return _lerp(rows, out_w)
+
+
 def lerp_backward_oracle(grad, lo, hi, frac, n_in):
     """np.add.at scatter along the last axis: the resize backward of one
     axis, which the fast code must match to rounding."""
@@ -60,8 +83,8 @@ def resize_backward_oracle(grad, in_h, in_w):
     """Gradient of ops.bilinear_resize for an input [C,in_h,in_w] by
     np.add.at, columns then rows; the fast code matches it to rounding."""
     _, out_h, out_w = grad.shape
-    rlo, rhi, rfrac = ops._resize_axis_coords(in_h, out_h)
-    clo, chi, cfrac = ops._resize_axis_coords(in_w, out_w)
+    rlo, rhi, rfrac = _resize_coords(in_h, out_h)
+    clo, chi, cfrac = _resize_coords(in_w, out_w)
     gc = lerp_backward_oracle(grad, clo, chi, cfrac, in_w)
     return lerp_backward_oracle(gc.transpose(0, 2, 1), rlo, rhi, rfrac,
                                 in_h).transpose(0, 2, 1)

@@ -24,6 +24,14 @@ def test_linear_function_agrees_to_round_off():
     assert rep.passed, rep.summary()
 
 
+def test_near_zero_entries_divide_by_the_floor():
+    # Both gradients are below the 1e-4 floor, so the error 1e-6 is
+    # divided by the floor, not by 1e-6.
+    rep = gradcheck(lambda x: 0.0, np.zeros(2), np.array([0.0, 1e-6]))
+    assert rep.max_rel_error == pytest.approx(1e-2)
+    assert not rep.passed
+
+
 def test_corrupted_gradient_reported_as_failure():
     point = np.array([1.0, 2.0, -0.5])
     analytic = 1.1 * 2.0 * point  # +10% corruption of d(x^2)/dx

@@ -87,6 +87,14 @@ class TestConversions:
         with pytest.raises(ValueError, match="finite"):
             mask_to_scores(smap, mask)
 
+    @pytest.mark.parametrize("shape, message", [
+        ((4, 3, 2), "mask height 3 != expected 2"),
+        ((4, 2, 3), "mask width 3 != expected 2"),
+    ], ids=["height", "width"])
+    def test_rejects_mask_not_the_map_size(self, shape, message):
+        with pytest.raises(ValueError, match=message):
+            mask_to_scores(grid_superpixels(2, 2, 1), np.full(shape, 0.5))
+
     def test_two_pixel_half(self):
         index = np.array([[0], [0]])
         smap = SuperpixelMap(index=index, count=1)
