@@ -159,12 +159,11 @@ def _require_file(path_str: str, what: str) -> Path:
 
 def cmd_gen_data(cfg: dict) -> int:
     out = _require(cfg, "out", "gen-data")
-    spec = data.SynthSpec(
-        image_size=cfg["size"], cell=cfg["cell"], prevalence=cfg["prevalence"],
-        seed=cfg["seed"], max_regions=cfg["max_regions"],
-        region_radius_frac=cfg["region_radius_frac"])
     try:
-        spec.validate()
+        spec = data.SynthSpec(
+            image_size=cfg["size"], cell=cfg["cell"], seed=cfg["seed"],
+            prevalence=cfg["prevalence"], max_regions=cfg["max_regions"],
+            region_radius_frac=cfg["region_radius_frac"])
         if cfg["count"] < 1:
             raise ValueError(f"count must be >= 1, got {cfg['count']}")
     except ValueError as exc:
@@ -195,7 +194,6 @@ def cmd_train(cfg: dict) -> int:
         tcfg = TrainConfig(batch_size=cfg["batch"], epochs=cfg["epochs"],
                            learning_rate=cfg["lr"], momentum=cfg["momentum"],
                            seed=cfg["seed"], eps=cfg["eps"], encoder=encoder)
-        tcfg.validate()
     except ValueError as exc:
         raise ConfigError(str(exc))
 

@@ -23,9 +23,10 @@ import numpy as np
 from . import netpbm
 from .jsonio import by_key, json_field, read_json, write_json
 from .model import EncoderConfig
-from .superpixels import (CLASS_COUNT, SuperpixelMap, grid_superpixels,
-                          mask_to_scores, read_labels, read_superpixel_map,
-                          write_labels, write_superpixel_map)
+from .superpixels import (CLASS_COUNT, MAX_SUPERPIXELS, SuperpixelMap,
+                          grid_superpixels, mask_to_scores, read_labels,
+                          read_superpixel_map, write_labels,
+                          write_superpixel_map)
 
 BACKGROUND_RGB = (0.80, 0.66, 0.58)
 LESION_RGB = (0.52, 0.38, 0.33)
@@ -58,6 +59,9 @@ TEXTURES = (_mesh, _inverted_mesh, _dots, _streaks)
 
 @dataclass(frozen=True)
 class SynthSpec:
+    """Synthetic dataset settings; construction checks that the encoder
+    accepts the images, the regions fit and the grid's ids fit a map file."""
+
     image_size: int = 64
     cell: int = 8
     prevalence: tuple[float, float, float, float] = (0.5, 0.5, 0.5, 0.5)
@@ -65,7 +69,7 @@ class SynthSpec:
     max_regions: int = 3
     region_radius_frac: tuple[float, float] = (0.12, 0.30)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         # Extents the default encoder accepts.
         size_multiple = EncoderConfig().size_multiple
         if self.image_size < 1:
@@ -75,6 +79,12 @@ class SynthSpec:
                              f"by {size_multiple}")
         if self.cell < 1:
             raise ValueError(f"cell must be positive, got {self.cell}")
+        superpixels = ((self.image_size + self.cell - 1) // self.cell) ** 2
+        if superpixels > MAX_SUPERPIXELS:
+            raise ValueError(f"superpixel count {superpixels} of a "
+                             f"{self.image_size}x{self.image_size} grid with "
+                             f"cell {self.cell} exceeds the {MAX_SUPERPIXELS} "
+                             f"ids of the P5 superpixel map format")
         if len(self.prevalence) != CLASS_COUNT:
             raise ValueError(f"prevalence needs {CLASS_COUNT} entries, got "
                              f"{len(self.prevalence)}")
@@ -207,7 +217,6 @@ def generate(spec: SynthSpec, count: int, out_dir: str | os.PathLike,
     manifest and each sample's [K,4] labels, in manifest order."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    spec.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -89,6 +89,9 @@ def evaluate(predictions, truths, sample_ids=None) -> RocResult:
                          f"{len(truths)} truth sets")
     if sample_ids is None:
         sample_ids = [f"image {i}" for i in range(len(predictions))]
+    elif len(sample_ids) != len(predictions):
+        raise ValueError(f"{len(sample_ids)} sample ids but "
+                         f"{len(predictions)} prediction sets")
     pooled_scores, pooled_labels = [], []
     for sid, pred, truth in zip(sample_ids, predictions, truths):
         pred = np.asarray(pred, dtype=np.float64)

@@ -20,11 +20,15 @@ from .ops import as_f64
 
 CLASS_NAMES = ("pigment_network", "negative_network", "milia_like_cyst", "streaks")
 CLASS_COUNT = len(CLASS_NAMES)
+# Ids are stored as 16-bit P5 samples, so a map holds at most 2**16 of them.
+MAX_SUPERPIXELS = 65536
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuperpixelMap:
-    """Per-pixel superpixel index field with `count` contiguous ids."""
+    """Per-pixel superpixel index field with `count` contiguous ids;
+    construction checks that each id in [0, count) has pixels, no other
+    id occurs and the field is 2-D."""
 
     index: np.ndarray  # [H,W] int64
     count: int
@@ -37,7 +41,7 @@ class SuperpixelMap:
     def width(self) -> int:
         return self.index.shape[1]
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.index.ndim != 2:
             raise ValueError(f"superpixel index field must be 2D, got "
                              f"{self.index.ndim} dimensions")
@@ -67,9 +71,7 @@ def grid_superpixels(height: int, width: int, cell: int) -> SuperpixelMap:
     ri = np.arange(height) // cell
     cj = np.arange(width) // cell
     index = (ri[:, None] * cols + cj[None, :]).astype(np.int64)
-    smap = SuperpixelMap(index=index, count=int(index.max()) + 1)
-    smap.validate()
-    return smap
+    return SuperpixelMap(index=index, count=int(index.max()) + 1)
 
 
 def validate_labels(labels: np.ndarray, count: int) -> np.ndarray:
@@ -128,8 +130,7 @@ def mask_to_scores(smap: SuperpixelMap, mask: np.ndarray) -> np.ndarray:
 def write_superpixel_map(smap: SuperpixelMap, path: str | os.PathLike) -> None:
     """Write as binary P5, two bytes per pixel MSB first, with a
     '# K=<count>' header comment carrying the declared count."""
-    smap.validate()
-    if smap.count > 65536:
+    if smap.count > MAX_SUPERPIXELS:
         raise ValueError(f"superpixel count {smap.count} exceeds the 16-bit "
                          f"id range of the P5 format")
     netpbm.write_pgm16(path, smap.index, comment=f"K={smap.count}")
@@ -142,9 +143,7 @@ def read_superpixel_map(path: str | os.PathLike) -> SuperpixelMap:
         counts = [int(c[2:]) for c in comments if c.startswith("K=")]
         if not counts:
             raise ValueError("missing '# K=<count>' header comment")
-        smap = SuperpixelMap(index=values, count=counts[-1])
-        smap.validate()
-    return smap
+        return SuperpixelMap(index=values, count=counts[-1])
 
 
 def write_labels(labels: np.ndarray, path: str | os.PathLike) -> None:

@@ -23,8 +23,10 @@ from .model import EncoderConfig, ModelParams
 from .superpixels import labels_to_mask
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Training hyperparameters; construction checks their ranges."""
+
     batch_size: int = 12
     epochs: int = 5
     learning_rate: float = 0.06
@@ -33,12 +35,12 @@ class TrainConfig:
     eps: float = 1.0
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate < 0.0:
+        if not self.learning_rate >= 0.0:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
@@ -82,7 +84,6 @@ def _check_finite(epoch: int, batch: int, tensors: dict) -> None:
 def train(dataset: Sequence[Sample],
           cfg: TrainConfig) -> tuple[ModelParams, TrainReport]:
     """Run the full training loop; returns (params, per-epoch report)."""
-    cfg.validate()
     if not dataset:
         raise ValueError("training dataset is empty")
     # A batch stacks its predictions, so every image needs the same shape.

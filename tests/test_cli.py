@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -85,6 +86,15 @@ class TestGenData:
                            "--count", "2", "--size", "60")
         assert code == 2
         assert "divisible" in err
+        assert not out_dir.exists()
+
+    def test_grid_beyond_map_id_range_fails_before_writing(self, capsys,
+                                                           tmp_path):
+        out_dir = tmp_path / "ds"
+        code, _, err = run(capsys, "gen-data", "--out", str(out_dir),
+                           "--count", "2", "--size", "512", "--cell", "1")
+        assert code == 2
+        assert "262144" in err and "65536" in err
         assert not out_dir.exists()
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
@@ -369,6 +379,20 @@ def test_every_json_file_has_the_one_writer_format(capsys, tmp_path):
     for path in written:
         text = path.read_text()
         assert text == json.dumps(json.loads(text), indent=2) + "\n", path
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("dermfeat ")]
+    parsed = set()
+    for line in lines:
+        try:
+            args = cli.build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
+        parsed.add(args.subcommand)
+    assert parsed == set(_OPTIONS)
 
 
 def test_usage_error_exits_2(capsys):

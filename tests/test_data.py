@@ -35,13 +35,17 @@ class TestGenerate:
             assert (sample.labels == 0.0).all()
 
     def test_rejects_unsatisfiable_geometry(self):
-        spec = SynthSpec(image_size=16, region_radius_frac=(0.2, 0.6))
         with pytest.raises(ValueError, match="does not fit"):
-            spec.validate()
+            SynthSpec(image_size=16, region_radius_frac=(0.2, 0.6))
 
     def test_rejects_indivisible_size(self):
         with pytest.raises(ValueError, match="divisible"):
-            SynthSpec(image_size=60).validate()
+            SynthSpec(image_size=60)
+
+    def test_grid_fits_the_map_format_id_range(self):
+        assert SynthSpec(image_size=256, cell=1).image_size == 256  # 65536 ids
+        with pytest.raises(ValueError, match="73984 .* 65536 ids"):
+            SynthSpec(image_size=272, cell=1)
 
     def test_rejects_bad_count(self, tmp_path):
         with pytest.raises(ValueError, match="count"):

@@ -167,6 +167,12 @@ class TestEvaluate:
             evaluate([np.zeros((3, 4))], [np.zeros((5, 4))],
                      sample_ids=["sample_7"])
 
+    def test_sample_id_count_mismatch_names_both_counts(self):
+        # zip would stop at the shorter list and drop the second image.
+        with pytest.raises(ValueError, match="1 sample ids but 2 prediction sets"):
+            evaluate([np.zeros((3, 4))] * 2, [np.zeros((3, 4))] * 2,
+                     sample_ids=["a"])
+
     def test_non_finite_score_names_the_image(self):
         preds = [np.full((3, 4), 0.5), np.full((3, 4), 0.5)]
         preds[1][2, 0] = np.inf

@@ -1,6 +1,7 @@
 """Superpixel map, conversion, and codec tests."""
 
 import re
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -36,7 +37,6 @@ class TestGrid:
         for h, w, cell in ((6, 10, 3), (7, 7, 2), (4, 4, 4), (9, 5, 2)):
             smap = grid_superpixels(h, w, cell)
             assert smap.pixel_counts().sum() == h * w
-            smap.validate()  # contiguity
 
     def test_row_major_cell_order(self):
         smap = grid_superpixels(4, 6, 2)
@@ -146,14 +146,18 @@ class TestConversions:
 
 class TestInvariants:
     def test_rejects_out_of_range_id(self):
-        smap = SuperpixelMap(index=np.array([[0, 3]]), count=2)
         with pytest.raises(ValueError, match="outside"):
-            smap.validate()
+            SuperpixelMap(index=np.array([[0, 3]]), count=2)
 
     def test_rejects_empty_superpixel(self):
-        smap = SuperpixelMap(index=np.array([[0, 2]]), count=3)
+        # Such a map would give mask_to_scores a 0/0, NaN score row.
         with pytest.raises(ValueError, match="empty superpixel 1"):
-            smap.validate()
+            SuperpixelMap(index=np.array([[0, 2]]), count=3)
+
+    def test_is_frozen(self):
+        smap = grid_superpixels(2, 2, 1)
+        with pytest.raises(FrozenInstanceError):
+            smap.count = 5
 
 
 class TestMapCodec:

@@ -1,6 +1,6 @@
 """Training loop tests: determinism, null updates, shuffling, descent."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -30,11 +30,20 @@ def tiny_config(**kw) -> TrainConfig:
 class TestConfig:
     def test_rejects_zero_epochs(self):
         with pytest.raises(ValueError, match="epochs"):
-            tiny_config(epochs=0).validate()
+            tiny_config(epochs=0)
 
     def test_rejects_zero_batch(self):
         with pytest.raises(ValueError, match="batch"):
-            tiny_config(batch_size=0).validate()
+            tiny_config(batch_size=0)
+
+    def test_rejects_nan_learning_rate(self):
+        with pytest.raises(ValueError, match="learning_rate must be >= 0, got nan"):
+            tiny_config(learning_rate=float("nan"))
+
+    def test_is_frozen(self):
+        cfg = tiny_config()
+        with pytest.raises(FrozenInstanceError):
+            cfg.learning_rate = 0.0
 
 
 class TestTrain:
