@@ -35,7 +35,7 @@ def _well_conditioned(params: model.ModelParams, cfg: EncoderConfig,
     every pool window has a clear winner."""
     for i in range(cfg.block_count):
         z = ops.conv2d(cache.block_inputs[i], params[f"block{i + 1}.weight"],
-                       params[f"block{i + 1}.bias"], model.KERNEL // 2)
+                       model.KERNEL // 2) + params[f"block{i + 1}.bias"][:, None, None]
         if np.abs(z).min() <= SMOOTH_MARGIN:
             return False
     for a in cache.taps[:-1]:

@@ -222,7 +222,13 @@ def cmd_predict(cfg: dict) -> int:
                              f"{weights_path}: {exc}") from None
     entries = []
     for s in samples:
-        probs = predict(params, encoder, s.image)
+        # Finite but huge weights overflow inside the ops; the check below
+        # names the image and weights instead of numpy's warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            probs = predict(params, encoder, s.image)
+        if not np.isfinite(probs).all():
+            raise ValueError(f"weights {weights_path} give non-finite "
+                             f"probabilities for image {s.name!r}")
         scores = mask_to_scores(s.smap, probs)
         entries.append({"image": s.name, "scores": scores.tolist()})
     out.mkdir(parents=True, exist_ok=True)
@@ -269,6 +275,8 @@ def cmd_eval(cfg: dict) -> int:
 def cmd_gradcheck(cfg: dict) -> int:
     if cfg["instances"] < 1:
         raise ConfigError(f"instances must be >= 1, got {cfg['instances']}")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
     for key in ("step", "tolerance"):
         if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive, got {cfg[key]}")

@@ -79,6 +79,8 @@ class SynthSpec:
                              f"by {size_multiple}")
         if self.cell < 1:
             raise ValueError(f"cell must be positive, got {self.cell}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         superpixels = ((self.image_size + self.cell - 1) // self.cell) ** 2
         if superpixels > MAX_SUPERPIXELS:
             raise ValueError(f"superpixel count {superpixels} of a "

@@ -1,12 +1,13 @@
 """Hypercolumn fully-convolutional network.
 
-Each encoder block is conv(KERNEL x KERNEL, "same" zero padding) -> relu;
-2x2 max pooling follows every block except the last. Every block's
-activation is tapped before its pool. The network computes the
+Each encoder block is conv(KERNEL x KERNEL, "same" zero padding) + bias
+-> relu; 2x2 max pooling follows every block except the last. Every
+block's activation is tapped before its pool. The network computes the
 hypercolumn function: resize every tap bilinearly back to the input
 resolution, concatenate the taps, map each pixel's hypercolumn to one
-channel per class with a 1x1 convolution, and squash with an elementwise
-logistic into (0, 1).
+channel per class with a 1x1 convolution plus bias, and squash with an
+elementwise logistic into (0, 1). The convolutions in ops are bias-free:
+this module adds every bias and sums every bias gradient.
 
 The hypercolumn itself is never built. The resize and the 1x1 head are
 both linear, so head(concat(resize(tap_i))) = sum_i resize(W_i tap_i) + b,
@@ -146,8 +147,8 @@ def forward(params: ModelParams, cfg: EncoderConfig,
     block_inputs, taps = [image], []
     for i in range(cfg.block_count):
         block = f"block{i + 1}"
-        a = ops.relu(ops.conv2d(block_inputs[i], params[f"{block}.weight"],
-                                params[f"{block}.bias"], KERNEL // 2))
+        a = ops.relu(ops.conv2d(block_inputs[i], params[f"{block}.weight"], KERNEL // 2)
+                     + params[f"{block}.bias"][:, None, None])
         taps.append(a)
         if i + 1 < cfg.block_count:
             block_inputs.append(ops.maxpool2d(a))
@@ -155,8 +156,7 @@ def forward(params: ModelParams, cfg: EncoderConfig,
     # Each tap's head slice at the tap's resolution; only the class maps
     # are resized to the input and summed onto the bias.
     head = ops.split_channels(params["head.weight"], list(cfg.channels))
-    no_bias = np.zeros_like(params["head.bias"])
-    logits = sum((ops.bilinear_resize(ops.conv2d(a, w_a, no_bias, 0), h, w)
+    logits = sum((ops.bilinear_resize(ops.conv2d(a, w_a, 0), h, w)
                   for a, w_a in zip(taps, head)),
                  start=params["head.bias"][:, None, None])
     probs = ops.sigmoid(logits)
@@ -183,17 +183,19 @@ def backward(params: ModelParams, cfg: EncoderConfig, cache: ForwardCache,
     head = ops.split_channels(params["head.weight"], list(cfg.channels))
     g_head = [None] * cfg.block_count
 
-    g_from_pool: np.ndarray | None = None
+    g_from_pool = 0.0
     for i in reversed(range(cfg.block_count)):
         tap = cache.taps[i]
         g_map = ops.bilinear_resize_backward(g_logits, tap.shape[1], tap.shape[2])
-        g_tap, g_head[i], _ = ops.conv2d_backward(tap, head[i], 0, g_map)
-        if g_from_pool is not None:
-            g_tap = g_tap + g_from_pool
+        g_tap, g_head[i] = ops.conv2d_backward(tap, head[i], 0, g_map)
+        # Rebinding frees the padded gradient buffer that g_tap views before
+        # the block's backward; kept alive, it raised training's peak RSS.
+        g_tap = g_tap + g_from_pool
         # relu(z) > 0 exactly where z > 0, so the tap masks like z.
         g_z = ops.relu_backward(tap, g_tap)
         block = f"block{i + 1}"
-        g_x, grads[f"{block}.weight"], grads[f"{block}.bias"] = ops.conv2d_backward(
+        grads[f"{block}.bias"] = g_z.sum(axis=(1, 2))
+        g_x, grads[f"{block}.weight"] = ops.conv2d_backward(
             cache.block_inputs[i], params[f"{block}.weight"], KERNEL // 2, g_z)
         if i > 0:
             g_from_pool = ops.maxpool2d_backward(cache.taps[i - 1],

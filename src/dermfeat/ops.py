@@ -8,7 +8,8 @@ of a [C_out,C_in,kh,kw] weight: the model splits its 1x1 head weight per
 tap, so it evaluates the hypercolumn head tap by tap and never
 concatenates the resized taps themselves. Geometry is read from the
 operands: convolutions slide one pixel at a time, take their kernel
-extents from the weights' shape and only the zero padding as an argument;
+extents from the weights' shape and only the zero padding as an argument,
+and are bias-free: the model adds every bias and sums its gradient;
 pools take non-overlapping 2x2 windows and send each window's gradient
 to its first max in row-major order. The bilinear resize is two products
 with its per-axis sampling matrices, and its backward the same two with
@@ -22,8 +23,8 @@ im2col copy. The input is zero-padded once and flattened to [C_in, N]
 with padded row length Wp. Computing every output row at the full width
 Wp makes each kernel tap read one contiguous column range, so the tap is
 one [C_out,C_in] @ [C_in,out_h*Wp] matmul. The kw-1 columns per row whose
-windows wrap into the next row are dropped from the result, and held at
-zero in the backward pass's output gradient.
+windows wrap into the next row are dropped from the result, a view of the
+accumulator, and held at zero in the backward pass's output gradient.
 """
 
 from __future__ import annotations
@@ -84,27 +85,22 @@ def _padded_flat(x: np.ndarray, padding: int) -> tuple[np.ndarray, int]:
     return xp.reshape(c, -1), w + 2 * p
 
 
-def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
-           padding: int) -> np.ndarray:
-    """2D cross-correlation of x [C_in,H,W] with weights [C_out,C_in,kh,kw]
-    at every offset, after zero-padding x by `padding` on every side.
+def conv2d(x: np.ndarray, weights: np.ndarray, padding: int) -> np.ndarray:
+    """Bias-free 2D cross-correlation of x [C_in,H,W] with weights
+    [C_out,C_in,kh,kw] at every offset, after zero-padding x by `padding`
+    on every side.
 
-    Each output element is bias[o] plus the sum over the C_in x kh x kw
-    window of elementwise products. Output pixel (i, j) of tap (ki, kj)
-    reads flat column (i+ki)*Wp + j+kj of the padded input, so the tap
-    adds weights[:, :, ki, kj] @ flat[:, ki*Wp+kj:][:, :out_h*Wp] into a
+    Each output element is the sum over the C_in x kh x kw window of
+    elementwise products. Output pixel (i, j) of tap (ki, kj) reads flat
+    column (i+ki)*Wp + j+kj of the padded input, so the tap adds
+    weights[:, :, ki, kj] @ flat[:, ki*Wp+kj:][:, :out_h*Wp] into a
     [C_out, out_h*Wp] accumulator; its last kw-1 columns per row hold
-    wrapped windows and are dropped.
+    wrapped windows and are dropped. The result is that crop, a view of
+    the accumulator with no copy: it is C-contiguous only when kw == 1.
     """
     x = as_f64(x)
     weights = as_f64(weights)
-    bias = as_f64(bias)
     out_h, out_w = _conv_output_size(x, weights, padding)
-    if bias.shape != (weights.shape[0],):
-        raise ValueError(
-            f"conv2d bias shape {bias.shape} does not match "
-            f"{weights.shape[0]} output channels"
-        )
 
     flat, wp = _padded_flat(x, padding)
     n = out_h * wp
@@ -116,16 +112,15 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
         for kj in range(kw):
             cols = slice(ki * wp + kj, ki * wp + kj + n)
             acc += taps[ki, kj] @ flat[:, cols]
-    out = acc.reshape(c_out, out_h, wp)[:, :, :out_w]
-    return out + bias[:, None, None]
+    return acc.reshape(c_out, out_h, wp)[:, :, :out_w]
 
 
 def conv2d_backward(x: np.ndarray, weights: np.ndarray, padding: int,
-                    grad_output: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of sum(grad_output * conv2d(x, weights, bias, padding)).
+                    grad_output: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of sum(grad_output * conv2d(x, weights, padding)).
 
-    Returns (grad_input, grad_weights, grad_bias). The lowering of conv2d:
+    Returns (grad_input, grad_weights); a bias gradient is the caller's
+    sum of grad_output, as conv2d adds no bias. The lowering of conv2d:
     grad_output is embedded in a [C_out, out_h*Wp] buffer g that is zero
     in the wrapped columns. Tap (ki, kj), reading the input columns s,
     gives grad_weights[:, :, ki, kj] = g @ flat[:, s].T and adds
@@ -159,8 +154,7 @@ def conv2d_backward(x: np.ndarray, weights: np.ndarray, padding: int,
             grad_w[:, :, ki, kj] = g @ flat[:, cols].T
             grad_flat[:, cols] += taps[ki, kj].T @ g
     grad_x = grad_flat.reshape(c_in, -1, wp)[:, p:p + in_h, p:p + in_w]
-    grad_b = grad_output.sum(axis=(1, 2))
-    return grad_x, grad_w, grad_b
+    return grad_x, grad_w
 
 
 def maxpool2d(x: np.ndarray) -> np.ndarray:

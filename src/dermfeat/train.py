@@ -10,6 +10,7 @@ execution is bit-deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -44,8 +45,13 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.eps > 0.0:
             raise ValueError(f"eps must be > 0, got {self.eps}")
+        for name in ("learning_rate", "eps"):
+            if math.isinf(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass
@@ -127,14 +133,11 @@ def train(dataset: Sequence[Sample],
             batch_loss, _ = f1_loss(pred_stack, truth_stack, cfg.eps)
             grad_stack = f1_loss_grad(pred_stack, truth_stack, cfg.eps)
 
-            grad_total = None
+            grad_total = {name: np.zeros_like(p) for name, p in params.items()}
             for cache, grad_probs in zip(caches, grad_stack):
                 grads, _ = model.backward(params, cfg.encoder, cache, grad_probs)
-                if grad_total is None:
-                    grad_total = grads
-                else:
-                    for name, g in grads.items():
-                        grad_total[name] += g
+                for name, g in grads.items():
+                    grad_total[name] += g
             for p, v, g in zip(params.values(), velocity.values(),
                                grad_total.values()):
                 v *= cfg.momentum

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dermfeat
-from dermfeat import cli
+from dermfeat import cli, model
 from dermfeat.cli import _OPTIONS, main
 from dermfeat.jsonio import write_json
 
@@ -241,6 +241,24 @@ class TestPredict:
         assert code == 1
         assert "sample_00000" in err and str(weights) in err
         assert "divisible by 32" in err
+        assert not (tmp_path / "pred").exists()
+
+    def test_overflowing_weights_exit_1_naming_both(self, capsys, small_dataset,
+                                                    trained, tmp_path):
+        # Finite weights load, but the forward overflows to inf - inf = nan.
+        # The suite turns a numpy RuntimeWarning into an error, so a leaked
+        # warning would be the reported failure instead.
+        params, encoder = model.load_params(trained / "weights.hfcn")
+        for a in params.values():
+            a[...] = 1e300
+        weights = tmp_path / "w.hfcn"
+        model.save_params(params, encoder, weights)
+        code, _, err = run(capsys, "predict", "--weights", str(weights),
+                           "--data", str(small_dataset / "manifest.json"),
+                           "--out", str(tmp_path / "pred"))
+        assert code == 1
+        assert str(weights) in err and "sample_00000.ppm" in err
+        assert "RuntimeWarning" not in err and "encountered" not in err
         assert not (tmp_path / "pred").exists()
 
 
@@ -492,7 +510,8 @@ def test_non_finite_flag_is_a_usage_error(capsys, argv):
     (["--batch", "0"], "batch_size"),
     (["--eps", "-1"], "eps"),
     (["--eps", "0"], "eps"),
-], ids=["channels-0-4", "batch-0", "eps-minus-1", "eps-0"])
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+], ids=["channels-0-4", "batch-0", "eps-minus-1", "eps-0", "seed-minus-1"])
 def test_bad_train_value_exits_2(capsys, small_dataset, tmp_path, flags,
                                  message):
     code, _, err = run(capsys, "train", "--data",
@@ -508,7 +527,9 @@ def test_bad_train_value_exits_2(capsys, small_dataset, tmp_path, flags,
     (["--tolerance", "0"], "tolerance"),
     (["--tolerance", "-1"], "tolerance"),
     (["--instances", "0"], "instances"),
-], ids=["step-0", "tolerance-0", "tolerance-minus-1", "instances-0"])
+    (["--seed", "-1"], "seed"),
+], ids=["step-0", "tolerance-0", "tolerance-minus-1", "instances-0",
+        "seed-minus-1"])
 def test_bad_gradcheck_value_exits_2(capsys, tmp_path, flags, message):
     code, out, err = run(capsys, "gradcheck", "--out", str(tmp_path / "gc"),
                          *flags)
@@ -516,6 +537,14 @@ def test_bad_gradcheck_value_exits_2(capsys, tmp_path, flags, message):
     assert f"{message} must be" in err
     assert "FAIL" not in out  # rejected before any check runs
     assert not (tmp_path / "gc").exists()
+
+
+def test_negative_gen_data_seed_exits_2_before_writing(capsys, tmp_path):
+    code, _, err = run(capsys, "gen-data", "--out", str(tmp_path / "ds"),
+                       "--seed", "-1")
+    assert code == 2
+    assert "seed must be >= 0, got -1" in err
+    assert not (tmp_path / "ds").exists()
 
 
 def test_region_radius_flag_is_validated(capsys, tmp_path):

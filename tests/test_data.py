@@ -42,6 +42,10 @@ class TestGenerate:
         with pytest.raises(ValueError, match="divisible"):
             SynthSpec(image_size=60)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SynthSpec(seed=-1)
+
     def test_grid_fits_the_map_format_id_range(self):
         assert SynthSpec(image_size=256, cell=1).image_size == 256  # 65536 ids
         with pytest.raises(ValueError, match="73984 .* 65536 ids"):

@@ -1,8 +1,10 @@
-"""Tests of the finite-difference checker itself."""
+"""Tests of the finite-difference checker and of the conditioning of the
+canned model check instances."""
 
 import numpy as np
 import pytest
 
+from dermfeat import checks, model
 from dermfeat.gradcheck import gradcheck
 
 
@@ -70,3 +72,17 @@ def test_rejects_bad_step_and_shape():
                       tolerance=tolerance)
     with pytest.raises(ValueError, match="shape"):
         gradcheck(lambda x: 0.0, np.zeros(2), np.zeros(3))
+
+
+def test_conditioning_reads_the_biased_pre_activation():
+    # Zero weights: the pre-activation is the bias alone, so a bias of 0.5
+    # sits clear of the relu kink and a zero bias sits on it.
+    cfg = model.EncoderConfig(channels=(2,), in_channels=1)
+    params = model.init_params(cfg, 0)
+    params["block1.weight"][...] = 0.0
+    params["block1.bias"][...] = 0.5
+    _, cache = model.forward(params, cfg, np.ones((1, 4, 4)))
+    assert checks._well_conditioned(params, cfg, cache)
+    params["block1.bias"][...] = 0.0
+    _, cache = model.forward(params, cfg, np.ones((1, 4, 4)))
+    assert not checks._well_conditioned(params, cfg, cache)

@@ -31,31 +31,35 @@ TINY = EncoderConfig(channels=(2, 2), in_channels=1)
 def hypercolumn_oracle(params, cfg, image, grad_probs):
     """The network with the hypercolumn built: resize every tap to the
     input, concatenate, apply the 1x1 head, and back through the same
-    steps. Returns (probs, grads, grad_image)."""
+    steps. The oracle adds each bias and sums each bias gradient itself.
+    Returns (probs, grads, grad_image)."""
     h, w = image.shape[1:]
     block_inputs, taps, argmaxes = [image], [], []
     for i in range(cfg.block_count):
         b = f"block{i + 1}"
-        taps.append(ops.relu(ops.conv2d(block_inputs[i], params[f"{b}.weight"],
-                                        params[f"{b}.bias"], KERNEL // 2)))
+        z = ops.conv2d(block_inputs[i], params[f"{b}.weight"], KERNEL // 2)
+        taps.append(ops.relu(z + params[f"{b}.bias"][:, None, None]))
         if i + 1 < cfg.block_count:
             pooled, argmax = maxpool2d_oracle(taps[-1])
             block_inputs.append(pooled)
             argmaxes.append(argmax)
     hyper = np.concatenate([ops.bilinear_resize(a, h, w) for a in taps])
-    probs = ops.sigmoid(ops.conv2d(hyper, params["head.weight"],
-                                   params["head.bias"], 0))
+    probs = ops.sigmoid(ops.conv2d(hyper, params["head.weight"], 0)
+                        + params["head.bias"][:, None, None])
 
     grads = dict.fromkeys(params)
-    g_hyper, grads["head.weight"], grads["head.bias"] = ops.conv2d_backward(
-        hyper, params["head.weight"], 0, ops.sigmoid_backward(probs, grad_probs))
+    g_logits = ops.sigmoid_backward(probs, grad_probs)
+    grads["head.bias"] = g_logits.sum(axis=(1, 2))
+    g_hyper, grads["head.weight"] = ops.conv2d_backward(
+        hyper, params["head.weight"], 0, g_logits)
     g_resized = np.split(g_hyper, np.cumsum(cfg.channels)[:-1])
     g_from_pool = 0.0
     for i in reversed(range(cfg.block_count)):
         b = f"block{i + 1}"
         g_tap = resize_backward_oracle(g_resized[i], *taps[i].shape[1:])
         g_z = ops.relu_backward(taps[i], g_tap + g_from_pool)
-        g_x, grads[f"{b}.weight"], grads[f"{b}.bias"] = ops.conv2d_backward(
+        grads[f"{b}.bias"] = g_z.sum(axis=(1, 2))
+        g_x, grads[f"{b}.weight"] = ops.conv2d_backward(
             block_inputs[i], params[f"{b}.weight"], KERNEL // 2, g_z)
         if i > 0:
             g_from_pool = maxpool2d_backward_oracle(argmaxes[i - 1], g_x,

@@ -11,9 +11,9 @@ from oracles import (maxpool2d_backward_oracle, maxpool2d_oracle,
                      resize_backward_oracle, resize_oracle)
 
 
-def conv2d_oracle(x, w, b, p):
-    """Direct nested-loop convolution at every offset, zero padding p,
-    independent of the production path."""
+def conv2d_oracle(x, w, p):
+    """Direct nested-loop bias-free convolution at every offset, zero
+    padding p, independent of the production path."""
     c_out, c_in, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (p, p), (p, p)))
     out_h = x.shape[1] + 2 * p - kh + 1
@@ -22,7 +22,7 @@ def conv2d_oracle(x, w, b, p):
     for o in range(c_out):
         for i in range(out_h):
             for j in range(out_w):
-                acc = b[o]
+                acc = 0.0
                 for c in range(c_in):
                     for ki in range(kh):
                         for kj in range(kw):
@@ -34,7 +34,7 @@ def conv2d_oracle(x, w, b, p):
 def conv2d_backward_oracle(x, w, p, g):
     """A tap loop of einsums over strided windows: the products of
     conv2d_backward's per-tap matmuls summed in another order, so the two
-    agree to rounding."""
+    agree to rounding. Returns (grad_input, grad_weights)."""
     out_h, out_w = g.shape[1:]
     xp = np.pad(x, ((0, 0), (p, p), (p, p)))
     grad_xp = np.zeros_like(xp)
@@ -46,7 +46,7 @@ def conv2d_backward_oracle(x, w, p, g):
             grad_w[:, :, ki, kj] = np.einsum("ohw,chw->oc", g, xp[:, rows, cols])
             grad_xp[:, rows, cols] += np.einsum("oc,ohw->chw", w[:, :, ki, kj], g)
     in_h, in_w = x.shape[1:]
-    return grad_xp[:, p:p + in_h, p:p + in_w], grad_w, g.sum(axis=(1, 2))
+    return grad_xp[:, p:p + in_h, p:p + in_w], grad_w
 
 
 # (input [C,H,W], kernel kh x kw, padding). (3,3,2) pads beyond k // 2,
@@ -60,63 +60,53 @@ class TestConv2d:
     def test_frozen_2x2_kernel_example(self):
         x = np.array([[[1.0, 2, 3], [4, 5, 6], [7, 8, 9]]])
         w = np.ones((1, 1, 2, 2))
-        b = np.zeros(1)
         expected = np.array([[[12.0, 16.0], [24.0, 28.0]]])
-        np.testing.assert_array_equal(conv2d_oracle(x, w, b, 0), expected)
-        np.testing.assert_array_equal(ops.conv2d(x, w, b, 0), expected)
+        np.testing.assert_array_equal(conv2d_oracle(x, w, 0), expected)
+        np.testing.assert_array_equal(ops.conv2d(x, w, 0), expected)
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(3)
         for shape, kh, kw, padding in CONV_CASES:
             x = rng.normal(size=shape)
             w = rng.normal(size=(2, 3, kh, kw))
-            b = rng.normal(size=2)
-            np.testing.assert_allclose(ops.conv2d(x, w, b, padding),
-                                       conv2d_oracle(x, w, b, padding),
+            np.testing.assert_allclose(ops.conv2d(x, w, padding),
+                                       conv2d_oracle(x, w, padding),
                                        rtol=1e-13, atol=1e-13)
 
     def test_identity_kernel_returns_input(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(1, 5, 7))
         w = np.ones((1, 1, 1, 1))
-        out = ops.conv2d(x, w, np.zeros(1), 0)
+        out = ops.conv2d(x, w, 0)
         np.testing.assert_array_equal(out, x)
 
-    def test_zero_input_gives_bias(self):
+    def test_zero_input_gives_zero(self):
         x = np.zeros((2, 4, 4))
         rng = np.random.default_rng(5)
         w = rng.normal(size=(3, 2, 3, 3))
-        b = np.array([1.5, -2.0, 0.25])
-        out = ops.conv2d(x, w, b, 1)
-        for o in range(3):
-            np.testing.assert_array_equal(out[o], np.full((4, 4), b[o]))
+        np.testing.assert_array_equal(ops.conv2d(x, w, 1), np.zeros((3, 4, 4)))
 
     def test_linearity(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 5, 5))
         y = rng.normal(size=(2, 5, 5))
         w = rng.normal(size=(3, 2, 3, 3))
-        b = np.zeros(3)
         a, c = 1.7, -0.4
-        lhs = ops.conv2d(a * x + c * y, w, b, 1)
-        rhs = a * ops.conv2d(x, w, b, 1) + c * ops.conv2d(y, w, b, 1)
+        lhs = ops.conv2d(a * x + c * y, w, 1)
+        rhs = a * ops.conv2d(x, w, 1) + c * ops.conv2d(y, w, 1)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_shape_errors_name_dimension(self):
         x = np.zeros((3, 4, 4))
         w = np.zeros((2, 4, 3, 3))
         with pytest.raises(ValueError, match="dim 1"):
-            ops.conv2d(x, w, np.zeros(2), 0)
-        with pytest.raises(ValueError, match="bias"):
-            ops.conv2d(x, np.zeros((2, 3, 3, 3)), np.zeros(5), 0)
+            ops.conv2d(x, w, 0)
         with pytest.raises(ValueError, match="output height"):
-            ops.conv2d(np.zeros((1, 2, 8)), np.zeros((1, 1, 3, 3)),
-                       np.zeros(1), 0)
+            ops.conv2d(np.zeros((1, 2, 8)), np.zeros((1, 1, 3, 3)), 0)
         with pytest.raises(ValueError, match="output width"):
-            ops.conv2d(np.zeros((1, 8, 2)), np.zeros((1, 1, 3, 3)),
-                       np.zeros(1), 0)
+            ops.conv2d(np.zeros((1, 8, 2)), np.zeros((1, 1, 3, 3)), 0)
         with pytest.raises(ValueError, match="padding"):
-            ops.conv2d(x, np.zeros((2, 3, 3, 3)), np.zeros(2), -1)
+            ops.conv2d(x, np.zeros((2, 3, 3, 3)), -1)
 
 
 class TestConv2dBackward:
@@ -125,33 +115,21 @@ class TestConv2dBackward:
         x = rng.normal(size=(1, 4, 4))
         w = np.ones((1, 1, 1, 1))
         g = rng.normal(size=(1, 4, 4))
-        gx, gw, gb = ops.conv2d_backward(x, w, 0, g)
+        gx, _ = ops.conv2d_backward(x, w, 0, g)
         np.testing.assert_array_equal(gx, g)
-
-    def test_grad_bias_is_per_channel_sum(self):
-        rng = np.random.default_rng(8)
-        x = rng.normal(size=(2, 4, 4))
-        w = rng.normal(size=(3, 2, 3, 3))
-        g = rng.normal(size=(3, 4, 4))
-        _, _, gb = ops.conv2d_backward(x, w, 1, g)
-        np.testing.assert_allclose(gb, g.sum(axis=(1, 2)), rtol=1e-13)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(1, 4, 4))
         w = rng.normal(size=(2, 1, 3, 3))
-        b = rng.normal(size=2)
         g = rng.normal(size=(2, 4, 4))
-        gx, gw, gb = ops.conv2d_backward(x, w, 1, g)
+        gx, gw = ops.conv2d_backward(x, w, 1, g)
 
-        rep = gradcheck(lambda v: float((g * ops.conv2d(v, w, b, 1)).sum()),
+        rep = gradcheck(lambda v: float((g * ops.conv2d(v, w, 1)).sum()),
                         x, gx, step=1e-5, tolerance=1e-6)
         assert rep.passed, rep.summary()
-        rep = gradcheck(lambda v: float((g * ops.conv2d(x, v, b, 1)).sum()),
+        rep = gradcheck(lambda v: float((g * ops.conv2d(x, v, 1)).sum()),
                         w, gw, step=1e-5, tolerance=1e-6)
-        assert rep.passed, rep.summary()
-        rep = gradcheck(lambda v: float((g * ops.conv2d(x, w, v, 1)).sum()),
-                        b, gb, step=1e-5, tolerance=1e-6)
         assert rep.passed, rep.summary()
 
     @pytest.mark.parametrize("shape,kh,kw,padding", CONV_CASES)
@@ -159,11 +137,11 @@ class TestConv2dBackward:
         rng = np.random.default_rng(10)
         x = rng.normal(size=shape)
         w = rng.normal(size=(4, shape[0], kh, kw))
-        out_shape = ops.conv2d(x, w, np.zeros(4), padding).shape
+        out_shape = ops.conv2d(x, w, padding).shape
         g = rng.normal(size=out_shape)
         got = ops.conv2d_backward(x, w, padding, g)
         want = conv2d_backward_oracle(x, w, padding, g)
-        for name, a, b in zip(("input", "weights", "bias"), got, want):
+        for name, a, b in zip(("input", "weights"), got, want, strict=True):
             np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13,
                                        err_msg=f"grad {name}")
 

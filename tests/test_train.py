@@ -40,6 +40,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="learning_rate must be >= 0, got nan"):
             tiny_config(learning_rate=float("nan"))
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            tiny_config(seed=-1)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "eps"])
+    def test_rejects_infinite_value(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite, got inf"):
+            tiny_config(**{field: float("inf")})
+
     def test_is_frozen(self):
         cfg = tiny_config()
         with pytest.raises(FrozenInstanceError):
