@@ -17,9 +17,15 @@ from .model import EncoderConfig
 SMOOTH_MARGIN = 1e-3  # min |pre-activation| and pool top-2 gap
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def check_f1_loss(seed: int, *, shape: tuple[int, int, int] = (4, 8, 8),
                   step: float = 1e-5, tolerance: float = 1e-5) -> GradCheckReport:
     """Gradient-check f1_loss_grad on one random instance."""
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     # Margins keep perturbed predictions inside the [0,1] contract.
     pred = rng.uniform(2 * step, 1.0 - 2 * step, shape)
@@ -51,6 +57,7 @@ def _well_conditioned(params: model.ModelParams, cfg: EncoderConfig,
 def draw_model_instance(seed: int):
     """Draw a smoothness-conditioned (cfg, params, image, truth): a two-block,
     two-channel encoder on one 8x8 single-channel image, in up to 50 tries."""
+    _check_seed(seed)
     cfg = EncoderConfig(channels=(2, 2), in_channels=1)
     for attempt in range(50):
         rng = np.random.default_rng([seed, attempt])

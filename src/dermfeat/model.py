@@ -13,10 +13,11 @@ The hypercolumn itself is never built. The resize and the 1x1 head are
 both linear, so head(concat(resize(tap_i))) = sum_i resize(W_i tap_i) + b,
 where W_i is the head weight's slice for tap i (Hariharan et al.,
 Hypercolumns for Object Segmentation and Fine-grained Localization,
-arXiv:1411.5752). Each slice runs at its tap's resolution and only the
-class maps are resized. The network is fully convolutional: output
-spatial size always equals input spatial size, and every extent is read
-from the image and the weight tensors.
+arXiv:1411.5752). Each slice is one [classes, C_i] @ [C_i, pixels]
+matmul at its tap's resolution, and only the class maps are resized.
+The network is fully convolutional: output spatial size always equals
+input spatial size, and every extent is read from the image and the
+weight tensors.
 """
 
 from __future__ import annotations
@@ -127,6 +128,12 @@ def check_params(params: ModelParams, cfg: EncoderConfig) -> None:
         raise ValueError(f"params do not match config: {mismatch}")
 
 
+def _head_slice(w_a: np.ndarray, tap: np.ndarray) -> np.ndarray:
+    """The 1x1 head slice w_a [classes,C,1,1] applied to tap [C,h,w]."""
+    c, th, tw = tap.shape
+    return (w_a[:, :, 0, 0] @ tap.reshape(c, -1)).reshape(-1, th, tw)
+
+
 @dataclass
 class ForwardCache:
     """Intermediates retained for the backward pass."""
@@ -156,7 +163,7 @@ def forward(params: ModelParams, cfg: EncoderConfig,
     # Each tap's head slice at the tap's resolution; only the class maps
     # are resized to the input and summed onto the bias.
     head = ops.split_channels(params["head.weight"], list(cfg.channels))
-    logits = sum((ops.bilinear_resize(ops.conv2d(a, w_a, 0), h, w)
+    logits = sum((ops.bilinear_resize(_head_slice(w_a, a), h, w)
                   for a, w_a in zip(taps, head)),
                  start=params["head.bias"][:, None, None])
     probs = ops.sigmoid(logits)
@@ -186,11 +193,10 @@ def backward(params: ModelParams, cfg: EncoderConfig, cache: ForwardCache,
     g_from_pool = 0.0
     for i in reversed(range(cfg.block_count)):
         tap = cache.taps[i]
-        g_map = ops.bilinear_resize_backward(g_logits, tap.shape[1], tap.shape[2])
-        g_tap, g_head[i] = ops.conv2d_backward(tap, head[i], 0, g_map)
-        # Rebinding frees the padded gradient buffer that g_tap views before
-        # the block's backward; kept alive, it raised training's peak RSS.
-        g_tap = g_tap + g_from_pool
+        c, th, tw = tap.shape
+        g = ops.bilinear_resize_backward(g_logits, th, tw).reshape(CLASS_COUNT, -1)
+        g_head[i] = (g @ tap.reshape(c, -1).T)[:, :, None, None]
+        g_tap = (head[i][:, :, 0, 0].T @ g).reshape(c, th, tw) + g_from_pool
         # relu(z) > 0 exactly where z > 0, so the tap masks like z.
         g_z = ops.relu_backward(tap, g_tap)
         block = f"block{i + 1}"

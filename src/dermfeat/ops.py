@@ -13,9 +13,10 @@ and are bias-free: the model adds every bias and sums its gradient;
 pools take non-overlapping 2x2 windows and send each window's gradient
 to its first max in row-major order. The bilinear resize is two products
 with its per-axis sampling matrices, and its backward the same two with
-their transposes. Backward passes return exact analytic gradients of
-sum(grad_output * forward(...)) and are verified against central finite
-differences in the test suite.
+their transposes; each matrix is built once per extent pair and cached
+read-only, and a same-size resize returns its input. Backward passes
+return exact analytic gradients of sum(grad_output * forward(...)) and
+are verified against central finite differences in the test suite.
 
 Convolution is lowered to BLAS (Chellapilla et al., High Performance
 Convolutional Neural Networks for Document Processing, 2006) without an
@@ -28,6 +29,8 @@ accumulator, and held at zero in the backward pass's output gradient.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -249,8 +252,10 @@ def sigmoid_backward(probs: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
     return grad_output * probs * (1.0 - probs)
 
 
+@functools.lru_cache(maxsize=64)
 def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
-    """The [n_out, n_in] corner-aligned sampling matrix of one resize axis.
+    """The [n_out, n_in] corner-aligned sampling matrix of one resize axis,
+    built once per (n_in, n_out) and returned read-only from the cache.
 
     Output index i samples source coordinate i*(n_in-1)/(n_out-1)
     (0 when n_out == 1). The product is formed before the division so
@@ -271,6 +276,7 @@ def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
     rows = np.arange(n_out)
     m[rows, lo] = 1.0 - frac
     m[rows, hi] += frac
+    m.flags.writeable = False  # shared by every later call
     return m
 
 
@@ -278,22 +284,26 @@ def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Corner-aligned bilinear resize of [C,h,w] to [C,out_h,out_w]: the
     per-axis sampling matrices, R_h @ x[c] @ R_w.T.
 
-    Corners and same-size resizes are exact; a constant input stays
-    constant to a few ulp, since each output entry is a BLAS sum of
-    products. A non-finite entry makes its whole output channel
-    non-finite, because its zero weights give 0*inf = nan.
+    A same-size resize returns x itself (after as_f64), not a copy.
+    Corners are exact; a constant input stays constant to a few ulp,
+    since each output entry is a BLAS sum of products. In a real resize
+    a non-finite entry makes its whole output channel non-finite,
+    because its zero weights give 0*inf = nan.
     """
     x = as_f64(x)
     if x.ndim != 3:
         raise ValueError(f"bilinear_resize input must be [C,h,w], got {x.ndim} dimensions")
     _, h, w = x.shape
+    if (h, w) == (out_h, out_w):
+        return x
     return _resize_matrix(h, out_h) @ x @ _resize_matrix(w, out_w).T
 
 
 def bilinear_resize_backward(grad_output: np.ndarray, in_h: int,
                              in_w: int) -> np.ndarray:
     """Gradient of bilinear_resize for an input [C,in_h,in_w]: the transpose
-    of the per-axis sampling matrices, R_h.T @ grad_output[c] @ R_w."""
+    of the per-axis sampling matrices, R_h.T @ grad_output[c] @ R_w. A
+    same-size call returns grad_output itself (after as_f64)."""
     grad_output = as_f64(grad_output)
     if grad_output.ndim != 3:
         raise ValueError(
@@ -301,6 +311,8 @@ def bilinear_resize_backward(grad_output: np.ndarray, in_h: int,
             f"got {grad_output.ndim} dimensions"
         )
     _, out_h, out_w = grad_output.shape
+    if (in_h, in_w) == (out_h, out_w):
+        return grad_output
     return (_resize_matrix(in_h, out_h).T @ grad_output
             @ _resize_matrix(in_w, out_w))
 

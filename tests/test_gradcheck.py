@@ -86,3 +86,14 @@ def test_conditioning_reads_the_biased_pre_activation():
     params["block1.bias"][...] = 0.0
     _, cache = model.forward(params, cfg, np.ones((1, 4, 4)))
     assert not checks._well_conditioned(params, cfg, cache)
+
+
+@pytest.mark.parametrize("seed", [-1, -1000])
+def test_checks_reject_negative_seed_by_name(seed):
+    message = f"seed must be >= 0, got {seed}"
+    for check in (checks.check_f1_loss, checks.check_model_params,
+                  checks.check_model_input):
+        with pytest.raises(ValueError, match=message):
+            check(seed)
+    with pytest.raises(ValueError, match=message):
+        checks.run_suite(1, seed=seed)

@@ -67,6 +67,52 @@ def hypercolumn_oracle(params, cfg, image, grad_probs):
     return probs, grads, g_x
 
 
+def conv_head_composition(params, cfg, image, grad_probs):
+    """The factored head as the model once composed it: each 1x1 head
+    slice through ops.conv2d / ops.conv2d_backward with padding 0, and
+    every resize, same-size ones included, as explicit products with the
+    sampling matrices. Returns (probs, grads, grad_image)."""
+    def resize(x, out_h, out_w):
+        return (ops._resize_matrix(x.shape[1], out_h) @ x
+                @ ops._resize_matrix(x.shape[2], out_w).T)
+
+    def resize_backward(g, in_h, in_w):
+        return (ops._resize_matrix(in_h, g.shape[1]).T @ g
+                @ ops._resize_matrix(in_w, g.shape[2]))
+
+    h, w = image.shape[1:]
+    block_inputs, taps = [image], []
+    for i in range(cfg.block_count):
+        b = f"block{i + 1}"
+        z = ops.conv2d(block_inputs[i], params[f"{b}.weight"], KERNEL // 2)
+        taps.append(ops.relu(z + params[f"{b}.bias"][:, None, None]))
+        if i + 1 < cfg.block_count:
+            block_inputs.append(ops.maxpool2d(taps[-1]))
+    head = ops.split_channels(params["head.weight"], list(cfg.channels))
+    probs = ops.sigmoid(sum((resize(ops.conv2d(a, w_a, 0), h, w)
+                             for a, w_a in zip(taps, head)),
+                            start=params["head.bias"][:, None, None]))
+
+    grads = dict.fromkeys(params)
+    g_logits = ops.sigmoid_backward(probs, grad_probs)
+    grads["head.bias"] = g_logits.sum(axis=(1, 2))
+    g_head = [None] * cfg.block_count
+    g_from_pool = 0.0
+    for i in reversed(range(cfg.block_count)):
+        b = f"block{i + 1}"
+        g_map = resize_backward(g_logits, *taps[i].shape[1:])
+        g_tap, g_head[i] = ops.conv2d_backward(taps[i], head[i], 0, g_map)
+        g_z = ops.relu_backward(taps[i], g_tap + g_from_pool)
+        grads[f"{b}.bias"] = g_z.sum(axis=(1, 2))
+        g_x, grads[f"{b}.weight"] = ops.conv2d_backward(
+            block_inputs[i], params[f"{b}.weight"], KERNEL // 2, g_z)
+        if i > 0:
+            g_from_pool = ops.maxpool2d_backward(taps[i - 1], block_inputs[i],
+                                                 g_x)
+    grads["head.weight"] = ops.concat_channels(g_head)
+    return probs, grads, g_x
+
+
 def zero_params(cfg: EncoderConfig) -> ModelParams:
     p = init_params(cfg, 0)
     for a in p.values():
@@ -262,6 +308,31 @@ class TestFactoredHead:
             scale = np.abs(want).max()
             assert scale > 0.0, name
             assert np.abs(got - want).max() <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("hw", [(64, 64), (32, 48)])
+    def test_bytes_match_conv_head_composition(self, hw):
+        # The matmul head and the skipped same-size resize change no byte
+        # of the output or of any gradient.
+        cfg = EncoderConfig()
+        rng = np.random.default_rng(59)
+        params = init_params(cfg, 13)
+        for name in params:
+            if name.endswith(".bias"):
+                params[name] += rng.normal(size=params[name].shape) * 0.1
+        image = rng.random((cfg.in_channels, *hw))
+        grad_probs = rng.normal(size=(4, *hw))
+
+        want_probs, want_grads, want_g_img = conv_head_composition(
+            params, cfg, image, grad_probs)
+        probs, cache = forward(params, cfg, image)
+        grads, g_img = model.backward(params, cfg, cache, grad_probs)
+
+        assert probs.tobytes() == want_probs.tobytes()
+        assert list(grads) == list(want_grads)
+        for name in grads:
+            assert grads[name].shape == want_grads[name].shape, name
+            assert grads[name].tobytes() == want_grads[name].tobytes(), name
+        assert g_img.tobytes() == want_g_img.tobytes()
 
 
 # One forward and backward, printed as sha256 per tensor plus the thread

@@ -315,9 +315,20 @@ RESIZE_SHAPES = [
 
 class TestBilinearResize:
     def test_identity_size(self):
+        # A same-size call returns its input: no products, no copy.
         rng = np.random.default_rng(13)
         x = rng.normal(size=(2, 5, 7))
         np.testing.assert_array_equal(ops.bilinear_resize(x, 5, 7), x)
+        assert np.shares_memory(ops.bilinear_resize(x, 5, 7), x)
+        assert np.shares_memory(ops.bilinear_resize_backward(x, 5, 7), x)
+
+    def test_resize_matrix_built_once_and_read_only(self):
+        m = ops._resize_matrix(5, 9)
+        assert ops._resize_matrix(5, 9) is m
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            m.T[0, 0] = 2.0
 
     def test_frozen_2x2_to_3x3(self):
         # Closed-form corner-aligned evaluation at coordinates {0, 0.5, 1}.
