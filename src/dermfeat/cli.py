@@ -154,11 +154,23 @@ def _require_file(path_str: str, what: str) -> Path:
     path = Path(path_str)
     if not path.exists():
         raise ConfigError(f"{what} not found: {path}")
+    if path.is_dir():
+        raise ConfigError(f"{what} is a directory: {path}")
+    return path
+
+
+def _out_dir(out: str) -> Path:
+    """Check an --out path before any work: it and its nearest existing
+    ancestor must be directories. It is created only when written."""
+    path = Path(out)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output directory {path}: {existing} is not a directory")
     return path
 
 
 def cmd_gen_data(cfg: dict) -> int:
-    out = _require(cfg, "out", "gen-data")
+    out = _out_dir(_require(cfg, "out", "gen-data"))
     try:
         spec = data.SynthSpec(
             image_size=cfg["size"], cell=cfg["cell"], seed=cfg["seed"],
@@ -186,7 +198,7 @@ def _load_dataset(cfg: dict, name: str) -> list[data.Sample]:
 
 def cmd_train(cfg: dict) -> int:
     samples = _load_dataset(cfg, "train")
-    out = Path(_require(cfg, "out", "train"))
+    out = _out_dir(_require(cfg, "out", "train"))
 
     try:
         encoder = EncoderConfig(channels=cfg["channels"],
@@ -211,7 +223,7 @@ def cmd_train(cfg: dict) -> int:
 def cmd_predict(cfg: dict) -> int:
     weights_path = _require_file(_require(cfg, "weights", "predict"), "weights file")
     samples = _load_dataset(cfg, "predict")
-    out = Path(_require(cfg, "out", "predict"))
+    out = _out_dir(_require(cfg, "out", "predict"))
 
     params, encoder = model.load_params(weights_path)
     for s in samples:
@@ -246,7 +258,7 @@ def _parse_predictions(entries: list) -> dict[str, np.ndarray]:
 def cmd_eval(cfg: dict) -> int:
     pred_path = _require_file(_require(cfg, "pred", "eval"), "predictions file")
     samples = _load_dataset(cfg, "eval")
-    out = Path(_require(cfg, "out", "eval"))
+    out = _out_dir(_require(cfg, "out", "eval"))
 
     by_image = read_json(pred_path, "predictions", _parse_predictions)
     listed = {s.name for s in samples}
@@ -280,6 +292,7 @@ def cmd_gradcheck(cfg: dict) -> int:
     for key in ("step", "tolerance"):
         if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive, got {cfg[key]}")
+    out = _out_dir(cfg["out"]) if cfg["out"] else None
 
     results = checks.run_suite(cfg["instances"], seed=cfg["seed"],
                                step=cfg["step"], tolerance=cfg["tolerance"])
@@ -288,8 +301,7 @@ def cmd_gradcheck(cfg: dict) -> int:
         status = "pass" if report.passed else "FAIL"
         print(f"{name:<18} {report.max_rel_error:>14.3e} "
               f"{str(report.worst_index):>16} {status:>8}")
-    if cfg["out"]:
-        out = Path(cfg["out"])
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         payload = {
             "tolerance": cfg["tolerance"], "step": cfg["step"],

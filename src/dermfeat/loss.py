@@ -8,7 +8,10 @@ image with empty ground truth keeps a nonzero loss floor even for a
 perfect prediction.
 
 Inputs may be a single volume [C,H,W] or a batch [B,C,H,W]; a batch is
-scored with counts pooled over all of its pixels per class.
+scored with counts pooled over all of its pixels per class. `f1_loss`
+checks the pair and counts once; `f1_loss_grad` calls it and forms the
+gradient from its counts, so one call per batch gives the loss, the
+breakdown and the gradient.
 """
 
 from __future__ import annotations
@@ -22,17 +25,17 @@ from .ops import as_f64
 
 @dataclass
 class LossBreakdown:
-    """Per-class fuzzy counts, per-class scores, and the scalar loss."""
+    """Per-class fuzzy counts and per-class scores."""
 
     tp: np.ndarray
     fp: np.ndarray
     fn: np.ndarray
     f1_term: np.ndarray
-    loss: float
 
 
-def _per_class_state(pred, truth, eps):
-    """Validate the pair; returns (truth, channel axis, tp, fp, fn, denominator)."""
+def f1_loss(pred: np.ndarray, truth: np.ndarray,
+            eps: float = 1.0) -> tuple[float, LossBreakdown]:
+    """Smoothed multi-class F1 loss: 1 - mean_c 2tp_c/(2tp_c+fp_c+fn_c+eps)."""
     pred = as_f64(pred)
     truth = as_f64(truth)
     # eps = 0 makes 0/0 for a class with no positives and no prediction.
@@ -48,35 +51,28 @@ def _per_class_state(pred, truth, eps):
         raise ValueError("predicted probabilities must lie in [0, 1]")
     if not np.isin(truth, (0.0, 1.0)).all():
         raise ValueError("truth mask must be binary")
-    axis = pred.ndim - 3
-    reduce_axes = tuple(a for a in range(pred.ndim) if a != axis)
+    reduce_axes = tuple(a for a in range(pred.ndim) if a != pred.ndim - 3)
     tp = (pred * truth).sum(axis=reduce_axes)
     fp = (pred * (1.0 - truth)).sum(axis=reduce_axes)
     fn = ((1.0 - pred) * truth).sum(axis=reduce_axes)
-    return truth, axis, tp, fp, fn, 2.0 * tp + fp + fn + eps
+    terms = 2.0 * tp / (2.0 * tp + fp + fn + eps)
+    return float(1.0 - terms.mean()), LossBreakdown(tp, fp, fn, terms)
 
 
-def f1_loss(pred: np.ndarray, truth: np.ndarray,
-            eps: float = 1.0) -> tuple[float, LossBreakdown]:
-    """Smoothed multi-class F1 loss: 1 - mean_c 2tp_c/(2tp_c+fp_c+fn_c+eps)."""
-    _, _, tp, fp, fn, denom = _per_class_state(pred, truth, eps)
-    terms = 2.0 * tp / denom
-    loss = float(1.0 - terms.mean())
-    return loss, LossBreakdown(tp=tp, fp=fp, fn=fn, f1_term=terms, loss=loss)
-
-
-def f1_loss_grad(pred: np.ndarray, truth: np.ndarray,
-                 eps: float = 1.0) -> np.ndarray:
-    """d(f1_loss)/d(pred), same shape as pred.
+def f1_loss_grad(pred: np.ndarray, truth: np.ndarray, eps: float = 1.0
+                 ) -> tuple[float, LossBreakdown, np.ndarray]:
+    """f1_loss's (loss, breakdown) and d(loss)/d(pred), same shape as pred.
 
     With D_c = 2tp_c + fp_c + fn_c + eps (equivalently sum(p) + sum(t) + eps,
     so dD_c/dp_j = 1), the per-class score derivative is
     d(2tp/D)/dp_j = 2*t_j/D - 2*tp/D^2; the loss scales it by -1/C for C
-    class channels.
+    class channels. The counts come from one f1_loss call.
     """
-    truth, axis, tp, _, _, denom = _per_class_state(pred, truth, eps)
+    loss, bd = f1_loss(pred, truth, eps)
+    truth = as_f64(truth)
+    denom = 2.0 * bd.tp + bd.fp + bd.fn + eps
     shape = [1] * truth.ndim
-    shape[axis] = tp.size
+    shape[truth.ndim - 3] = bd.tp.size
     lin = (2.0 / denom).reshape(shape)
-    const = (2.0 * tp / denom ** 2).reshape(shape)
-    return -(truth * lin - const) / tp.size
+    const = (2.0 * bd.tp / denom ** 2).reshape(shape)
+    return loss, bd, -(truth * lin - const) / bd.tp.size

@@ -51,9 +51,13 @@ class SuperpixelMap:
             bad = int(self.index.max() if self.index.max() >= self.count
                       else self.index.min())
             raise ValueError(f"superpixel id {bad} outside [0, {self.count})")
-        missing = np.flatnonzero(self.pixel_counts() == 0)
+        # At most index.size ids have pixels, so counting one id past that
+        # finds an empty one: no array is sized by a declared count.
+        counts = np.bincount(self.index.ravel(),
+                             minlength=min(self.count, self.index.size + 1))
+        missing = np.flatnonzero(counts == 0)
         if missing.size:
-            raise ValueError(f"empty superpixel {int(missing[0])}")
+            raise ValueError(f"empty superpixel {int(missing[0])} of {self.count}")
 
     def pixel_counts(self) -> np.ndarray:
         """Number of pixels per superpixel id, shape [count]."""

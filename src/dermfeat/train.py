@@ -19,7 +19,7 @@ import numpy as np
 
 from . import model
 from .data import Sample
-from .loss import f1_loss, f1_loss_grad
+from .loss import f1_loss_grad
 from .model import EncoderConfig, ModelParams
 from .superpixels import labels_to_mask
 
@@ -130,8 +130,8 @@ def train(dataset: Sequence[Sample],
                 for i, probs in zip(idx, preds)})
             pred_stack = np.stack(preds)
             truth_stack = np.stack([truths[i] for i in idx])
-            batch_loss, _ = f1_loss(pred_stack, truth_stack, cfg.eps)
-            grad_stack = f1_loss_grad(pred_stack, truth_stack, cfg.eps)
+            batch_loss, _, grad_stack = f1_loss_grad(pred_stack, truth_stack,
+                                                     cfg.eps)
 
             grad_total = {name: np.zeros_like(p) for name, p in params.items()}
             for cache, grad_probs in zip(caches, grad_stack):

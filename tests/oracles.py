@@ -88,3 +88,28 @@ def resize_backward_oracle(grad, in_h, in_w):
     gc = lerp_backward_oracle(grad, clo, chi, cfrac, in_w)
     return lerp_backward_oracle(gc.transpose(0, 2, 1), rlo, rhi, rfrac,
                                 in_h).transpose(0, 2, 1)
+
+
+def f1_two_pass_oracle(pred, truth, eps=1.0):
+    """The smoothed F1 loss as two independent passes, each counting
+    tp, fp and fn over the pair itself: (loss, tp, fp, fn, f1_term,
+    gradient) with the loss module's expressions, so every byte must
+    match."""
+    def per_class_state():
+        p = np.ascontiguousarray(pred, dtype=np.float64)
+        t = np.ascontiguousarray(truth, dtype=np.float64)
+        axes = tuple(a for a in range(p.ndim) if a != p.ndim - 3)
+        tp = (p * t).sum(axis=axes)
+        fp = (p * (1.0 - t)).sum(axis=axes)
+        fn = ((1.0 - p) * t).sum(axis=axes)
+        return t, tp, fp, fn, 2.0 * tp + fp + fn + eps
+
+    _, tp, fp, fn, denom = per_class_state()
+    terms = 2.0 * tp / denom
+    loss = float(1.0 - terms.mean())
+    t, tp_g, _, _, denom = per_class_state()
+    shape = [1] * t.ndim
+    shape[t.ndim - 3] = tp_g.size
+    lin = (2.0 / denom).reshape(shape)
+    const = (2.0 * tp_g / denom ** 2).reshape(shape)
+    return loss, tp, fp, fn, terms, -(t * lin - const) / tp_g.size

@@ -682,3 +682,51 @@ def test_prediction_for_unlisted_image_exits_1(capsys, small_dataset, tmp_path):
                    f"'{entries[3]['image']}' is not in manifest "
                    f"{root / 'manifest.json'}\n")
     assert not (tmp_path / "run").exists()
+
+
+def _pipeline_inputs(name, small_dataset, trained):
+    """Valid input flags for each subcommand, --out aside."""
+    manifest = str(small_dataset / "manifest.json")
+    return {"gen-data": ["--count", "2", "--size", "16", "--cell", "4"],
+            "train": ["--data", manifest, "--epochs", "1", "--batch", "4",
+                      "--channels", "4,8"],
+            "predict": ["--weights", str(trained / "weights.hfcn"),
+                        "--data", manifest],
+            "eval": ["--pred", str(trained / "train_report.json"),
+                     "--data", manifest],
+            "gradcheck": ["--instances", "1"]}[name]
+
+
+@pytest.mark.parametrize("name, flag", [
+    ("gen-data", "--config"), ("train", "--data"), ("predict", "--weights"),
+    ("eval", "--pred")])
+def test_directory_for_an_input_file_exits_2_naming_it(
+        capsys, small_dataset, trained, tmp_path, name, flag):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = _pipeline_inputs(name, small_dataset, trained)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(folder)
+    else:
+        argv += [flag, str(folder)]
+    code, _, err = run(capsys, name, *argv, "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert f"is a directory: {folder}\n" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("name", list(_OPTIONS))
+def test_out_naming_a_file_exits_2_before_any_work(
+        capsys, small_dataset, trained, tmp_path, name, nested):
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"keep")
+    out = taken / "run" if nested else taken
+    code, stdout, err = run(capsys, name,
+                            *_pipeline_inputs(name, small_dataset, trained),
+                            "--out", str(out))
+    assert code == 2
+    assert err == (f"error: output directory {out}: {taken} is not a "
+                   f"directory\n")
+    assert len(stdout.splitlines()) == 1  # the config echo, then nothing
+    assert taken.read_bytes() == b"keep"

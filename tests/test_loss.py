@@ -5,6 +5,7 @@ import pytest
 
 from dermfeat.gradcheck import gradcheck
 from dermfeat.loss import f1_loss, f1_loss_grad
+from oracles import f1_two_pass_oracle
 
 
 def counts(pred, truth, channel):
@@ -89,7 +90,7 @@ class TestF1Loss:
             shape = (channels, 1, 1)
             expected = -(t * (2 / d).reshape(shape)
                          - (2 * tp / d ** 2).reshape(shape)) / channels
-            np.testing.assert_allclose(f1_loss_grad(p, t, 0.5), expected,
+            np.testing.assert_allclose(f1_loss_grad(p, t, 0.5)[2], expected,
                                        rtol=1e-13)
 
     def test_rejects_non_finite_prediction(self):
@@ -163,13 +164,28 @@ class TestF1Loss:
 
 
 class TestF1Grad:
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("channels", [1, 4, 7])
+    def test_one_pass_bytes_match_two_pass_oracle(self, channels, batched):
+        # The gradient reuses f1_loss's counts; the oracle counts again.
+        rng = np.random.default_rng(60 + channels)
+        shape = (3, channels, 6, 5) if batched else (channels, 6, 5)
+        pred = rng.random(shape)
+        truth = (rng.random(shape) < 0.4).astype(np.float64)
+        loss, bd, grad = f1_loss_grad(pred, truth, 0.5)
+        want = f1_two_pass_oracle(pred, truth, 0.5)
+        got = (loss, bd.tp, bd.fp, bd.fn, bd.f1_term, grad)
+        for name, g, w in zip(("loss", "tp", "fp", "fn", "f1_term", "grad"),
+                              got, want):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), name
+
     def test_all_negative_truth_gradient_sign(self):
         # With truth 0 everywhere in class c, d(loss)/d(pred_j) = tp/(2 D^2) >= 0.
         rng = np.random.default_rng(36)
         pred = rng.uniform(0.2, 0.8, (4, 4, 4))
         truth = (rng.random((4, 4, 4)) < 0.5).astype(np.float64)
         truth[1] = 0.0
-        grad = f1_loss_grad(pred, truth)
+        _, _, grad = f1_loss_grad(pred, truth)
         assert (grad[1] >= 0.0).all()
         tp, fp, fn = counts(pred, truth, 1)
         d = 2 * tp + fp + fn + 1.0
@@ -178,14 +194,14 @@ class TestF1Grad:
 
     def test_zero_everywhere_gives_zero_gradient(self):
         zeros = np.zeros((4, 4, 4))
-        np.testing.assert_array_equal(f1_loss_grad(zeros, zeros), zeros)
+        np.testing.assert_array_equal(f1_loss_grad(zeros, zeros)[2], zeros)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(37)
         pred = rng.uniform(0.01, 0.99, (4, 8, 8))
         truth = (rng.random((4, 8, 8)) < 0.4).astype(np.float64)
         rep = gradcheck(lambda p: f1_loss(p, truth)[0], pred,
-                        f1_loss_grad(pred, truth), step=1e-5, tolerance=1e-6)
+                        f1_loss_grad(pred, truth)[2], step=1e-5, tolerance=1e-6)
         assert rep.passed, rep.summary()
 
     def test_matches_finite_differences_batched(self):
@@ -193,7 +209,7 @@ class TestF1Grad:
         pred = rng.uniform(0.01, 0.99, (2, 4, 4, 4))
         truth = (rng.random((2, 4, 4, 4)) < 0.4).astype(np.float64)
         rep = gradcheck(lambda p: f1_loss(p, truth)[0], pred,
-                        f1_loss_grad(pred, truth), step=1e-5, tolerance=1e-6)
+                        f1_loss_grad(pred, truth)[2], step=1e-5, tolerance=1e-6)
         assert rep.passed, rep.summary()
 
     def test_many_random_instances(self):
@@ -203,7 +219,7 @@ class TestF1Grad:
             pred = rng.uniform(0.01, 0.99, shape)
             truth = (rng.random(shape) < rng.uniform(0.1, 0.6)).astype(np.float64)
             rep = gradcheck(lambda p: f1_loss(p, truth)[0], pred,
-                            f1_loss_grad(pred, truth), step=1e-5,
+                            f1_loss_grad(pred, truth)[2], step=1e-5,
                             tolerance=1e-5)
             assert rep.passed, f"seed {seed}: {rep.summary()}"
 
@@ -236,7 +252,7 @@ class TestDiceLoss:
         rng = np.random.default_rng(40)
         pred = rng.uniform(0.01, 0.99, (1, 8, 8))
         truth = (rng.random((1, 8, 8)) < 0.4).astype(np.float64)
-        grad = f1_loss_grad(pred, truth)
+        _, _, grad = f1_loss_grad(pred, truth)
         rep = gradcheck(lambda p: f1_loss(p, truth)[0], pred, grad,
                         step=1e-5, tolerance=1e-6)
         assert rep.passed, rep.summary()

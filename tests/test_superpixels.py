@@ -1,6 +1,7 @@
 """Superpixel map, conversion, and codec tests."""
 
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -182,6 +183,26 @@ class TestMapCodec:
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: malformed superpixel map: superpixel id 5 outside")):
             read_superpixel_map(path)
+
+    # Counts up to 2e7 or from 1e12 on: a count in between would really
+    # be allocated by a reader that sizes its pixel count by K.
+    @pytest.mark.parametrize("count", [20_000_000, 10 ** 12])
+    def test_rejects_count_beyond_pixel_count_by_path(self, tmp_path, count):
+        # 16 ids on 256 pixels: id 16 is the first empty one, found without
+        # an array of K entries.
+        path = tmp_path / "map.pgm"
+        netpbm.write_pgm16(path, grid_superpixels(16, 16, 4).index,
+                           comment=f"K={count}")
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: malformed superpixel map: empty superpixel 16 "
+                    f"of {count}")):
+                read_superpixel_map(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_rejects_truncated_file(self, tmp_path):
         path = tmp_path / "map.pgm"

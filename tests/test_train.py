@@ -146,12 +146,31 @@ class TestTrain:
 
     def test_non_finite_batch_loss_fails_fast(self, tiny_dataset, monkeypatch):
         import dermfeat.train as train_mod
-        real_loss = train_mod.f1_loss
-        monkeypatch.setattr(train_mod, "f1_loss", lambda p, t, c: (
-            float("nan"), real_loss(p, t, c)[1]))
+        real_loss = train_mod.f1_loss_grad
+        monkeypatch.setattr(train_mod, "f1_loss_grad", lambda p, t, c: (
+            float("nan"), *real_loss(p, t, c)[1:]))
         with pytest.raises(FloatingPointError,
                            match="epoch 1, batch 1: batch loss is not finite"):
             train(tiny_dataset, tiny_config())
+
+    def test_loss_checks_and_counts_each_batch_once(self, tiny_dataset,
+                                                     monkeypatch):
+        # f1_loss is replaced wherever train or f1_loss_grad looks it up,
+        # so every checked and counted pass over a batch is recorded.
+        import dermfeat.loss as loss_mod
+        import dermfeat.train as train_mod
+        calls = []
+        real_loss = loss_mod.f1_loss
+
+        def counting_loss(pred, truth, eps):
+            calls.append(pred.shape[0])
+            return real_loss(pred, truth, eps)
+
+        monkeypatch.setattr(loss_mod, "f1_loss", counting_loss)
+        monkeypatch.setattr(train_mod, "f1_loss", counting_loss, raising=False)
+        train(tiny_dataset, tiny_config(batch_size=4, epochs=3))
+        # 6 samples in batches of 4: sizes 4 and 2 in each of 3 epochs.
+        assert calls == [4, 2] * 3
 
     def test_non_finite_update_fails_fast_naming_tensor(self, tiny_dataset,
                                                         monkeypatch):
