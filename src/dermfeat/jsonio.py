@@ -13,16 +13,19 @@ from pathlib import Path
 
 def write_json(path: str | os.PathLike, payload) -> None:
     """Stream payload to path as indented JSON with a trailing newline.
-    NaN, infinity or an unencodable value is an error naming the path,
-    and the partly written file is removed."""
+    NaN, infinity or an unencodable value is a ValueError naming the path,
+    and an I/O error once the file is open (a full disk) an OSError
+    naming it; either way the partly written file is removed."""
     path = Path(path)
+    fh = open(path, "w", encoding="utf-8")  # its errors name the path
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with fh:
             json.dump(payload, fh, indent=2, allow_nan=False)
             fh.write("\n")
-    except (TypeError, ValueError) as exc:
-        path.unlink()
-        raise ValueError(f"{path}: {exc}") from None
+    except (TypeError, ValueError, OSError) as exc:
+        path.unlink(missing_ok=True)
+        kind = OSError if isinstance(exc, OSError) else ValueError
+        raise kind(f"{path}: {exc}") from None
 
 
 @contextmanager

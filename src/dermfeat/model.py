@@ -120,12 +120,15 @@ def init_params(cfg: EncoderConfig, seed: int) -> ModelParams:
     return params
 
 
-def check_params(params: ModelParams, cfg: EncoderConfig) -> None:
-    """Verify tensor names, order and shapes against a config."""
+def check_params(params: ModelParams, cfg: EncoderConfig) -> ModelParams:
+    """Verify tensor names, order and shapes against a config; returns the
+    params as float64 arrays (the same arrays where they already are)."""
+    params = {name: as_f64(a) for name, a in params.items()}
     mismatch = _spec_mismatch([(n, a.shape) for n, a in params.items()],
                               param_specs(cfg))
     if mismatch:
         raise ValueError(f"params do not match config: {mismatch}")
+    return params
 
 
 def _head_slice(w_a: np.ndarray, tap: np.ndarray) -> np.ndarray:
@@ -145,10 +148,11 @@ class ForwardCache:
 
 def forward(params: ModelParams, cfg: EncoderConfig,
             image: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network; returns ([4,H,W] probabilities, cache)."""
+    """Run the network; returns ([4,H,W] probabilities, cache). The image
+    and params are coerced to float64 here, once, not in the kernels."""
     image = as_f64(image)
     cfg.check_image(image)
-    check_params(params, cfg)
+    params = check_params(params, cfg)
     h, w = image.shape[1], image.shape[2]
 
     block_inputs, taps = [image], []
@@ -176,8 +180,10 @@ def backward(params: ModelParams, cfg: EncoderConfig, cache: ForwardCache,
     """Exact gradients of sum(grad_probs * probs) w.r.t. params and image.
 
     Returns (grad_params, grad_image); grad_params has the names and
-    order of params.
+    order of params. grad_probs and params are coerced to float64 here,
+    as in forward, so every gradient is float64.
     """
+    params = check_params(params, cfg)
     grad_probs = as_f64(grad_probs)
     if grad_probs.shape != cache.probs.shape:
         raise ValueError(

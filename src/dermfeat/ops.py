@@ -2,21 +2,27 @@
 operation the model needs (conv, pool, relu, sigmoid, bilinear resize),
 plus concat and split of the head weight along its input channels.
 
-All operations are pure functions over C-order float64 numpy arrays with
-layout [channels, height, width]. Concat and split act on the C_in axis
-of a [C_out,C_in,kh,kw] weight: the model splits its 1x1 head weight per
-tap, so it evaluates the hypercolumn head tap by tap and never
-concatenates the resized taps themselves. Geometry is read from the
-operands: convolutions slide one pixel at a time, take their kernel
-extents from the weights' shape and only the zero padding as an argument,
-and are bias-free: the model adds every bias and sums its gradient;
-pools take non-overlapping 2x2 windows and send each window's gradient
-to its first max in row-major order. The bilinear resize is two products
-with its per-axis sampling matrices, and its backward the same two with
-their transposes; each matrix is built once per extent pair and cached
-read-only, and a same-size resize returns its input. Backward passes
-return exact analytic gradients of sum(grad_output * forward(...)) and
-are verified against central finite differences in the test suite.
+All operations are pure functions over float64 numpy arrays with layout
+[channels, height, width]. Kernels assume float64 operands, of any
+strides, and convert none of them: data is coerced once where it
+enters, by model.forward (the image and the params), model.backward
+(grad_probs and the params), the loss, superpixel scoring, the metrics
+and gradcheck.
+
+Concat and split act on the C_in axis of a [C_out,C_in,kh,kw] weight:
+the model splits its 1x1 head weight per tap, so it evaluates the
+hypercolumn head tap by tap and never concatenates the resized taps
+themselves. Geometry is read from the operands: convolutions slide one
+pixel at a time, take their kernel extents from the weights' shape and
+only the zero padding as an argument, and are bias-free: the model adds
+every bias and sums its gradient; pools take non-overlapping 2x2
+windows and send each window's gradient to its first max in row-major
+order. The bilinear resize is two products with its per-axis sampling
+matrices, and its backward the same two with their transposes; each
+matrix is built once per extent pair and cached read-only, and a
+same-size resize returns its input. Backward passes return exact
+analytic gradients of sum(grad_output * forward(...)) and are verified
+against central finite differences in the test suite.
 
 Convolution is lowered to BLAS (Chellapilla et al., High Performance
 Convolutional Neural Networks for Document Processing, 2006) without an
@@ -73,6 +79,14 @@ def _conv_output_size(x: np.ndarray, weights: np.ndarray,
     return out_h, out_w
 
 
+def _check_grad_shape(op: str, grad_output: np.ndarray, what: str,
+                      shape: tuple[int, ...]) -> None:
+    """A backward kernel's grad_output must have its forward output's shape."""
+    if grad_output.shape != shape:
+        raise ValueError(f"{op} grad_output shape {grad_output.shape} does "
+                         f"not match {what} shape {shape}")
+
+
 def _padded_flat(x: np.ndarray, padding: int) -> tuple[np.ndarray, int]:
     """Zero-pad x [C,H,W] by `padding` on every side plus one extra bottom
     row, flattened to [C, (H+2p+1)*(W+2p)]; returns it and the padded width.
@@ -101,8 +115,6 @@ def conv2d(x: np.ndarray, weights: np.ndarray, padding: int) -> np.ndarray:
     wrapped windows and are dropped. The result is that crop, a view of
     the accumulator with no copy: it is C-contiguous only when kw == 1.
     """
-    x = as_f64(x)
-    weights = as_f64(weights)
     out_h, out_w = _conv_output_size(x, weights, padding)
 
     flat, wp = _padded_flat(x, padding)
@@ -130,15 +142,9 @@ def conv2d_backward(x: np.ndarray, weights: np.ndarray, padding: int,
     weights[:, :, ki, kj].T @ g into columns s of the padded input's
     gradient.
     """
-    x = as_f64(x)
-    weights = as_f64(weights)
-    grad_output = as_f64(grad_output)
     out_h, out_w = _conv_output_size(x, weights, padding)
-    if grad_output.shape != (weights.shape[0], out_h, out_w):
-        raise ValueError(
-            f"conv2d_backward grad_output shape {grad_output.shape} does not "
-            f"match output shape {(weights.shape[0], out_h, out_w)}"
-        )
+    _check_grad_shape("conv2d_backward", grad_output, "output",
+                      (weights.shape[0], out_h, out_w))
 
     p = padding
     c_in, in_h, in_w = x.shape
@@ -170,7 +176,6 @@ def maxpool2d(x: np.ndarray) -> np.ndarray:
     No tap holds -0.0: relu is np.maximum(x, 0.0), which maps -0.0 to
     +0.0.
     """
-    x = as_f64(x)
     if x.ndim != 3:
         raise ValueError(f"maxpool2d input must be [C,H,W], got {x.ndim} dimensions")
     _, h, w = x.shape
@@ -190,14 +195,7 @@ def maxpool2d_backward(x: np.ndarray, out: np.ndarray,
     row-major order, whose value equals out; the rest get 0.0. A -0.0
     entry arrives as +0.0, as a sum from 0.0 gives.
     """
-    x = as_f64(x)
-    out = as_f64(out)
-    grad_output = as_f64(grad_output)
-    if grad_output.shape != out.shape:
-        raise ValueError(
-            f"maxpool2d_backward grad_output shape {grad_output.shape} does "
-            f"not match pooled shape {out.shape}"
-        )
+    _check_grad_shape("maxpool2d_backward", grad_output, "pooled", out.shape)
     if x.shape != (out.shape[0], 2 * out.shape[1], 2 * out.shape[2]):
         raise ValueError(f"maxpool2d_backward input shape {x.shape} does not "
                          f"pool to shape {out.shape}")
@@ -214,18 +212,12 @@ def maxpool2d_backward(x: np.ndarray, out: np.ndarray,
 
 def relu(x: np.ndarray) -> np.ndarray:
     """Elementwise max(0, v)."""
-    return np.maximum(as_f64(x), 0.0)
+    return np.maximum(x, 0.0)
 
 
 def relu_backward(x: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
     """Pass gradient where x > 0, zero elsewhere (subgradient 0 at 0)."""
-    x = as_f64(x)
-    grad_output = as_f64(grad_output)
-    if grad_output.shape != x.shape:
-        raise ValueError(
-            f"relu_backward grad_output shape {grad_output.shape} does not "
-            f"match input shape {x.shape}"
-        )
+    _check_grad_shape("relu_backward", grad_output, "input", x.shape)
     return np.where(x > 0.0, grad_output, 0.0)
 
 
@@ -234,7 +226,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
     Outputs are strictly inside (0, 1) for finite inputs.
     """
-    x = as_f64(x)
     # exp(-|v|) never overflows: 1/(1+e) for v >= 0 and e/(1+e) below.
     e = np.exp(-np.abs(x))
     return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
@@ -242,13 +233,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid_backward(probs: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
     """Chain grad_output through the logistic, given the forward outputs."""
-    probs = as_f64(probs)
-    grad_output = as_f64(grad_output)
-    if grad_output.shape != probs.shape:
-        raise ValueError(
-            f"sigmoid_backward grad_output shape {grad_output.shape} does "
-            f"not match probs shape {probs.shape}"
-        )
+    _check_grad_shape("sigmoid_backward", grad_output, "probs", probs.shape)
     return grad_output * probs * (1.0 - probs)
 
 
@@ -284,13 +269,12 @@ def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Corner-aligned bilinear resize of [C,h,w] to [C,out_h,out_w]: the
     per-axis sampling matrices, R_h @ x[c] @ R_w.T.
 
-    A same-size resize returns x itself (after as_f64), not a copy.
-    Corners are exact; a constant input stays constant to a few ulp,
-    since each output entry is a BLAS sum of products. In a real resize
-    a non-finite entry makes its whole output channel non-finite,
-    because its zero weights give 0*inf = nan.
+    A same-size resize returns x itself, not a copy. Corners are exact;
+    a constant input stays constant to a few ulp, since each output
+    entry is a BLAS sum of products. In a real resize a non-finite entry
+    makes its whole output channel non-finite, because its zero weights
+    give 0*inf = nan.
     """
-    x = as_f64(x)
     if x.ndim != 3:
         raise ValueError(f"bilinear_resize input must be [C,h,w], got {x.ndim} dimensions")
     _, h, w = x.shape
@@ -303,8 +287,7 @@ def bilinear_resize_backward(grad_output: np.ndarray, in_h: int,
                              in_w: int) -> np.ndarray:
     """Gradient of bilinear_resize for an input [C,in_h,in_w]: the transpose
     of the per-axis sampling matrices, R_h.T @ grad_output[c] @ R_w. A
-    same-size call returns grad_output itself (after as_f64)."""
-    grad_output = as_f64(grad_output)
+    same-size call returns grad_output itself."""
     if grad_output.ndim != 3:
         raise ValueError(
             f"bilinear_resize_backward grad must be [C,out_h,out_w], "
@@ -321,21 +304,19 @@ def concat_channels(inputs: list[np.ndarray]) -> np.ndarray:
     """Stack [C_out,C_k,kh,kw] weights along C_in (axis 1) in argument order."""
     if not inputs:
         raise ValueError("concat_channels requires at least one input")
-    arrs = [as_f64(a) for a in inputs]
-    first = arrs[0].shape
-    for k, a in enumerate(arrs):
+    first = inputs[0].shape
+    for k, a in enumerate(inputs):
         if a.ndim != 4 or a.shape[:1] + a.shape[2:] != first[:1] + first[2:]:
             raise ValueError(
                 f"concat_channels input {k} has shape {a.shape}: inputs must "
                 f"be [C_out,C_k,kh,kw] and match input 0's {first} off the "
                 f"channel axis 1"
             )
-    return np.concatenate(arrs, axis=1)
+    return np.concatenate(inputs, axis=1)
 
 
 def split_channels(x: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
     """Inverse of concat_channels: views of x split along C_in by sizes."""
-    x = as_f64(x)
     if x.ndim != 4:
         raise ValueError(f"split_channels input must be [C_out,C_in,kh,kw], "
                          f"got {x.ndim} dimensions")

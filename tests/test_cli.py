@@ -375,6 +375,37 @@ def test_report_writer_rejects_non_finite(tmp_path, value, reason):
     assert list(tmp_path.iterdir()) == []
 
 
+def _dump_then_disk_full(obj, fh, **kwargs):
+    """json.dump that writes part of the document, then hits a full disk."""
+    fh.write('[\n  {"image": "a.ppm",')
+    raise OSError(28, "No space left on device")
+
+
+def test_report_writer_removes_file_on_io_error(tmp_path, monkeypatch):
+    path = tmp_path / "predictions.json"
+    monkeypatch.setattr(json, "dump", _dump_then_disk_full)
+    with pytest.raises(OSError, match=re.escape(
+            f"{path}: [Errno 28] No space left on device")):
+        write_json(path, [{"image": "a.ppm"}])
+    assert list(tmp_path.iterdir()) == []
+    # An open that fails removes nothing: the directory stays.
+    with pytest.raises(IsADirectoryError):
+        write_json(tmp_path, [])
+    assert tmp_path.is_dir()
+
+
+def test_predict_on_full_disk_exits_1_naming_the_file(
+        capsys, small_dataset, trained, tmp_path, monkeypatch):
+    monkeypatch.setattr(json, "dump", _dump_then_disk_full)
+    code, _, err = run(capsys, "predict", "--weights", str(trained / "weights.hfcn"),
+                       "--data", str(small_dataset / "manifest.json"),
+                       "--out", str(tmp_path))
+    path = tmp_path / "predictions.json"
+    assert code == 1
+    assert f"{path}: [Errno 28] No space left on device" in err
+    assert not path.exists()
+
+
 def test_every_json_file_has_the_one_writer_format(capsys, tmp_path):
     """Each JSON file the pipeline writes is 2-space indented with a
     trailing newline: the format write_json decides."""

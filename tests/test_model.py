@@ -282,6 +282,61 @@ class TestBackward:
         assert rep.passed, rep.summary()
 
 
+def _fwd_bwd_bytes(params, cfg, image, grad_probs):
+    """probs, each gradient and the image gradient: (dtype, bytes) pairs."""
+    probs, cache = forward(params, cfg, image)
+    grads, g_img = model.backward(params, cfg, cache, grad_probs)
+    return [(a.dtype, a.tobytes()) for a in (probs, *grads.values(), g_img)]
+
+
+class TestBoundaryCoercion:
+    """forward and backward coerce the image, grad_probs and params to
+    float64 once; the kernels take their operands as given. Any input
+    gives the bytes of its float64 C-order copy."""
+
+    CFG = EncoderConfig(channels=(4, 6, 8), in_channels=3)
+
+    def setup_method(self):
+        rng = np.random.default_rng(59)
+        self.params = init_params(self.CFG, 13)
+        self.image = rng.integers(0, 256, (3, 16, 16)) / 255.0
+        self.grad_probs = rng.normal(size=(4, 16, 16))
+
+    @pytest.mark.parametrize("make", [
+        lambda x: x.astype(np.float32),
+        lambda x: (x * 255.0).round().astype(np.int64),
+        lambda x: np.ascontiguousarray(x.transpose(1, 2, 0)).transpose(2, 0, 1),
+    ], ids=["float32", "int64", "transposed-view"])
+    def test_image_gives_bytes_of_its_float64_copy(self, make):
+        image = make(self.image)
+        reference = np.array(image, dtype=np.float64, order="C")
+        assert image.dtype != np.float64 or not image.flags.c_contiguous
+        assert (_fwd_bwd_bytes(self.params, self.CFG, image, self.grad_probs)
+                == _fwd_bwd_bytes(self.params, self.CFG, reference,
+                                  self.grad_probs))
+
+    def test_grad_probs_view_gives_bytes_of_its_copy(self):
+        view = np.ascontiguousarray(self.grad_probs.transpose(0, 2, 1)).transpose(0, 2, 1)
+        assert not view.flags.c_contiguous
+        assert (_fwd_bwd_bytes(self.params, self.CFG, self.image, view)
+                == _fwd_bwd_bytes(self.params, self.CFG, self.image,
+                                  self.grad_probs))
+
+    def test_float32_params_give_float64_outputs_and_gradients(self):
+        p32 = {name: a.astype(np.float32) for name, a in self.params.items()}
+        p64 = {name: a.astype(np.float64) for name, a in p32.items()}
+        got = _fwd_bwd_bytes(p32, self.CFG, self.image, self.grad_probs)
+        assert all(dtype == np.float64 for dtype, _ in got)
+        assert got == _fwd_bwd_bytes(p64, self.CFG, self.image, self.grad_probs)
+
+    def test_backward_checks_params(self):
+        _, cache = forward(self.params, self.CFG, self.image)
+        params = dict(self.params)
+        del params["head.bias"]
+        with pytest.raises(ValueError, match="params do not match config"):
+            model.backward(params, self.CFG, cache, self.grad_probs)
+
+
 class TestFactoredHead:
     @pytest.mark.parametrize("cfg, hw", [
         (EncoderConfig(), (16, 16)), (EncoderConfig(), (32, 48)), (TINY, (8, 8)),

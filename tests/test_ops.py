@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from dermfeat import ops
+from dermfeat import checks, model, ops
 from dermfeat.gradcheck import gradcheck
 from oracles import (maxpool2d_backward_oracle, maxpool2d_oracle,
                      resize_backward_oracle, resize_oracle)
@@ -486,3 +486,40 @@ def test_row_major_layout_round_trip():
         i = int(rng.integers(h))
         j = int(rng.integers(w))
         assert flat[(c * h + i) * w + j] == arr[c, i, j]
+
+
+def test_model_path_feeds_kernels_float64_only(monkeypatch):
+    """Kernels convert no operand, so every caller must pass float64:
+    every function in ops, as_f64 aside, sees only float64 arrays during
+    a 64 px forward and backward of the default encoder and the canned
+    gradient-check suite. The model gets float32 image, params and
+    grad_probs, which its entry points coerce."""
+    seen, bad = set(), []
+
+    def wrap(name, fn):
+        def checked(*args, **kwargs):
+            seen.add(name)
+            for k, a in enumerate([*args, *kwargs.values()]):
+                for arr in a if isinstance(a, (list, tuple)) else [a]:
+                    if isinstance(arr, np.ndarray) and arr.dtype != np.float64:
+                        bad.append((name, k, arr.dtype))
+            return fn(*args, **kwargs)
+        return checked
+
+    kernels = [name for name, fn in vars(ops).items()
+               if callable(fn) and getattr(fn, "__module__", None) == ops.__name__
+               and name != "as_f64"]
+    for name in kernels:
+        monkeypatch.setattr(ops, name, wrap(name, getattr(ops, name)))
+
+    cfg = model.EncoderConfig()
+    rng = np.random.default_rng(22)
+    params = {name: a.astype(np.float32)
+              for name, a in model.init_params(cfg, 0).items()}
+    image = rng.random((3, 64, 64), dtype=np.float32)
+    probs, cache = model.forward(params, cfg, image)
+    model.backward(params, cfg, cache,
+                   rng.normal(size=probs.shape).astype(np.float32))
+    checks.run_suite(1)
+    assert bad == []
+    assert seen == set(kernels)
