@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .jsonio import parsing
+from .jsonio import parsing, writing
 from .ops import as_f64
 from .superpixels import CLASS_COUNT, CLASS_NAMES
 
@@ -238,7 +238,8 @@ def unflatten_params(cfg: EncoderConfig, vec: np.ndarray) -> ModelParams:
 
 def save_params(params: ModelParams, cfg: EncoderConfig,
                 path: str | os.PathLike) -> None:
-    """Write magic, length-prefixed JSON header, then raw LE float64 data."""
+    """Write magic, length-prefixed JSON header, then raw LE float64 data;
+    `writing` removes a file cut short and names its path."""
     check_params(params, cfg)
     header = {
         "in_channels": cfg.in_channels,
@@ -249,7 +250,7 @@ def save_params(params: ModelParams, cfg: EncoderConfig,
                     for name, shape in param_specs(cfg)],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with writing(path, "wb") as fh:
         fh.write(WEIGHTS_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)

@@ -3,8 +3,17 @@
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
+
+from .jsonio import writing
+
+
+# Longest header number read: far above any real extent, and far below
+# the 4300 digits at which int() refuses a string.
+MAX_HEADER_DIGITS = 12
+_FIELD = re.compile(rb"[0-9]{1,%d}" % MAX_HEADER_DIGITS)
 
 
 class NetpbmError(ValueError):
@@ -13,13 +22,14 @@ class NetpbmError(ValueError):
 
 def _write(path: str | os.PathLike, magic: bytes, pixels: np.ndarray,
            comment: str | None = None) -> None:
-    """Write the header, maxval the dtype's maximum, then the raster."""
+    """Write the header, maxval the dtype's maximum, then the raster;
+    `writing` removes a file cut short and names its path."""
     header = magic + b"\n"
     if comment is not None:
         header += b"# " + comment.encode("ascii") + b"\n"
     header += (f"{pixels.shape[1]} {pixels.shape[0]}\n"
                f"{np.iinfo(pixels.dtype).max}\n").encode("ascii")
-    with open(path, "wb") as fh:
+    with writing(path, "wb") as fh:
         fh.write(header)
         fh.write(pixels.tobytes())
 
@@ -49,10 +59,12 @@ def _read(path: str | os.PathLike, magic: bytes, dtype: str, depth: int
             comments.append(data[pos + 1:end].decode("ascii", "replace").strip())
             pos = end + 1
         elif ch.isdigit():
-            start = pos
-            while pos < len(data) and data[pos:pos + 1].isdigit():
-                pos += 1
-            fields.append(int(data[start:pos]))
+            digits = _FIELD.match(data, pos).group()
+            pos += len(digits)
+            if data[pos:pos + 1].isdigit():
+                raise NetpbmError(f"{path}: header number longer than "
+                                  f"{MAX_HEADER_DIGITS} digits")
+            fields.append(int(digits))
         else:
             raise NetpbmError(f"{path}: unexpected byte {ch!r} in header")
     if pos >= len(data) or not data[pos:pos + 1].isspace():

@@ -16,6 +16,7 @@ import dermfeat
 from dermfeat import cli, model
 from dermfeat.cli import _OPTIONS, main
 from dermfeat.jsonio import write_json
+from faults import fill_disk
 
 
 def run(capsys, *argv):
@@ -375,18 +376,13 @@ def test_report_writer_rejects_non_finite(tmp_path, value, reason):
     assert list(tmp_path.iterdir()) == []
 
 
-def _dump_then_disk_full(obj, fh, **kwargs):
-    """json.dump that writes part of the document, then hits a full disk."""
-    fh.write('[\n  {"image": "a.ppm",')
-    raise OSError(28, "No space left on device")
-
-
 def test_report_writer_removes_file_on_io_error(tmp_path, monkeypatch):
     path = tmp_path / "predictions.json"
-    monkeypatch.setattr(json, "dump", _dump_then_disk_full)
+    opened = fill_disk(monkeypatch, room=1)  # the first entry fits
     with pytest.raises(OSError, match=re.escape(
             f"{path}: [Errno 28] No space left on device")):
         write_json(path, [{"image": "a.ppm"}])
+    assert opened[0].on_disk == b'[\n  {\n    "image": "a.ppm"\n  }'
     assert list(tmp_path.iterdir()) == []
     # An open that fails removes nothing: the directory stays.
     with pytest.raises(IsADirectoryError):
@@ -396,7 +392,7 @@ def test_report_writer_removes_file_on_io_error(tmp_path, monkeypatch):
 
 def test_predict_on_full_disk_exits_1_naming_the_file(
         capsys, small_dataset, trained, tmp_path, monkeypatch):
-    monkeypatch.setattr(json, "dump", _dump_then_disk_full)
+    opened = fill_disk(monkeypatch, room=1)  # the first entry fits
     code, _, err = run(capsys, "predict", "--weights", str(trained / "weights.hfcn"),
                        "--data", str(small_dataset / "manifest.json"),
                        "--out", str(tmp_path))
@@ -404,6 +400,8 @@ def test_predict_on_full_disk_exits_1_naming_the_file(
     assert code == 1
     assert f"{path}: [Errno 28] No space left on device" in err
     assert not path.exists()
+    assert opened[0].on_disk.startswith(b'[\n  {\n    "image": ')
+    assert opened[0].on_disk.count(b'"image"') == 1
 
 
 def test_every_json_file_has_the_one_writer_format(capsys, tmp_path):

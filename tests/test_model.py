@@ -22,6 +22,7 @@ from dermfeat.model import (KERNEL, WEIGHTS_MAGIC, EncoderConfig,
                             ModelParams, check_params, flatten_params, forward,
                             init_params, load_params, param_specs, save_params,
                             unflatten_params)
+from faults import fill_disk
 from oracles import (maxpool2d_backward_oracle, maxpool2d_oracle,
                      resize_backward_oracle)
 
@@ -479,6 +480,19 @@ class TestSerialization:
         assert len(data) == 1237
         assert hashlib.sha256(data).hexdigest() == (
             "4d396fd8d4af81931b1f687718d3f9d359b3d60c268bacbfcb0b8223832aa37c")
+
+    @pytest.mark.parametrize("room, at_close", [(3, False), (-1, True)],
+                             ids=["fourth-write", "close"])
+    def test_full_disk_removes_file_and_names_it(self, tmp_path, monkeypatch,
+                                                 room, at_close):
+        cfg = EncoderConfig(channels=(2, 3), in_channels=1)
+        path = tmp_path / "w.hfcn"
+        opened = fill_disk(monkeypatch, room, at_close)
+        with pytest.raises(OSError) as info:
+            save_params(init_params(cfg, 0), cfg, path)
+        assert str(info.value) == f"{path}: [Errno 28] No space left on device"
+        assert opened[0].on_disk.startswith(WEIGHTS_MAGIC)
+        assert list(tmp_path.iterdir()) == []
 
     def test_rejects_corrupted_magic(self, tmp_path):
         cfg = EncoderConfig(channels=(2,), in_channels=1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dermfeat import netpbm
+from faults import fill_disk
 
 
 def test_p6_round_trip_and_header(tmp_path):
@@ -48,6 +49,33 @@ class TestRejects:
                          .replace(b"\n65535\n", b"\n65534\n", 1))
         with pytest.raises(netpbm.NetpbmError, match=f"{path}: expected maxval"):
             read(path)
+
+    def test_overlong_header_number_names_path(self, tmp_path, write, read,
+                                               payload):
+        path = tmp_path / "f"
+        write(path, payload)
+        data = path.read_bytes()
+        path.write_bytes(data[:3] + b"2" * 5000 + data[3:])  # the width
+        with pytest.raises(netpbm.NetpbmError, match=(
+                f"{path}: header number longer than "
+                f"{netpbm.MAX_HEADER_DIGITS} digits")):
+            read(path)
+        # The longest run accepted: leading zeros, the same width.
+        path.write_bytes(data[:3] + b"0" * (netpbm.MAX_HEADER_DIGITS - 1)
+                         + data[3:])
+        read(path)
+
+    @pytest.mark.parametrize("room, at_close", [(1, False), (-1, True)],
+                             ids=["raster-write", "close"])
+    def test_full_disk_removes_file_and_names_it(
+            self, tmp_path, monkeypatch, write, read, payload, room, at_close):
+        path = tmp_path / "f"
+        opened = fill_disk(monkeypatch, room, at_close)
+        with pytest.raises(OSError) as info:
+            write(path, payload)
+        assert str(info.value) == f"{path}: [Errno 28] No space left on device"
+        assert opened[0].on_disk.startswith(b"P")
+        assert list(tmp_path.iterdir()) == []
 
     def test_other_magic_names_path(self, tmp_path, write, read, payload):
         path = tmp_path / "f"
