@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, data, metrics, model
-from .jsonio import by_key, read_json, write_json
+from .jsonio import by_key, json_table, read_json, write_json
 from .model import EncoderConfig
 from .superpixels import CLASS_NAMES, mask_to_scores
 from .train import TrainConfig, predict, train
@@ -251,7 +251,7 @@ def cmd_predict(cfg: dict) -> int:
 
 def _parse_predictions(entries: list) -> dict[str, np.ndarray]:
     """Image name -> [K,4] scores; an image listed twice is an error."""
-    return {name: np.asarray(e["scores"], dtype=np.float64)
+    return {name: json_table(e, "scores")
             for name, e in by_key(entries, "image").items()}
 
 

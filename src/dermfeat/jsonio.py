@@ -15,6 +15,8 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
+import numpy as np
+
 _ENCODE = json.JSONEncoder().encode  # C level; the same text for a scalar
 
 
@@ -149,3 +151,14 @@ def json_field(doc: dict, key: str, kind: type):
     if type(value) is not kind:
         raise TypeError(f"{key!r} must be {kind.__name__}, got {json.dumps(value)}")
     return value
+
+
+def json_table(doc: dict, key: str) -> np.ndarray:
+    """doc[key], a list of rows, as a float64 array; by json_field's rule
+    every entry must be exactly an int or a float: not a bool or a string."""
+    rows = doc[key]
+    kinds = set(map(type, chain.from_iterable(rows))) - {int, float}
+    if kinds:
+        raise TypeError(f"{key!r} entries must be numbers, got "
+                        f"{', '.join(sorted(k.__name__ for k in kinds))}")
+    return np.asarray(rows, dtype=np.float64)

@@ -67,15 +67,17 @@ class EncoderConfig:
         return 2 ** (self.block_count - 1)
 
     def check_image(self, image: np.ndarray) -> None:
+        """An image is [in_channels,H,W], its extents positive multiples
+        of size_multiple: every pool then sees even extents."""
         if image.ndim != 3 or image.shape[0] != self.in_channels:
             raise ValueError(
                 f"expected image [{self.in_channels},H,W], got shape {image.shape}")
         m = self.size_multiple
         _, h, w = image.shape
-        if h % m or w % m:
+        if h % m or w % m or not h or not w:
             raise ValueError(
                 f"image extents {h}x{w} must be divisible by {m} "
-                f"({self.block_count} blocks)")
+                f"({self.block_count} blocks) and positive")
 
 
 # Parameter name -> tensor, in param_specs order.

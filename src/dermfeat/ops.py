@@ -4,10 +4,12 @@ plus concat and split of the head weight along its input channels.
 
 All operations are pure functions over float64 numpy arrays with layout
 [channels, height, width]. Kernels assume float64 operands, of any
-strides, and convert none of them: data is coerced once where it
-enters, by model.forward (the image and the params), model.backward
-(grad_probs and the params), the loss, superpixel scoring, the metrics
-and gradcheck.
+strides, of well-formed shapes, and check neither dtype nor shape: a
+mismatched operand may broadcast silently. Data is coerced and checked
+once where it enters: model.forward checks the image and the params,
+model.backward the params and grad_probs, and every operand shape the
+model passes here follows from those. The loss, superpixel scoring, the
+metrics and gradcheck coerce their own inputs.
 
 Concat and split act on the C_in axis of a [C_out,C_in,kh,kw] weight:
 the model splits its 1x1 head weight per tap, so it evaluates the
@@ -48,43 +50,9 @@ def as_f64(x) -> np.ndarray:
 
 def _conv_output_size(x: np.ndarray, weights: np.ndarray,
                       padding: int) -> tuple[int, int]:
-    """Check conv2d operand shapes; returns the output extents."""
-    if x.ndim != 3:
-        raise ValueError(f"conv2d input must be [C,H,W], got {x.ndim} dimensions")
-    if weights.ndim != 4:
-        raise ValueError(
-            f"conv2d weights must be [C_out,C_in,kh,kw], got {weights.ndim} dimensions"
-        )
-    if weights.shape[1] != x.shape[0]:
-        raise ValueError(
-            f"conv2d channel mismatch: input has {x.shape[0]} channels "
-            f"but weights dim 1 is {weights.shape[1]}"
-        )
-    if padding < 0:
-        raise ValueError(f"conv padding must be non-negative, got {padding}")
-    _, in_h, in_w = x.shape
-    _, _, kh, kw = weights.shape
-    out_h = in_h + 2 * padding - kh + 1
-    out_w = in_w + 2 * padding - kw + 1
-    if out_h < 1:
-        raise ValueError(
-            f"conv output height {out_h} < 1 (input height {in_h}, "
-            f"kernel {kh}, padding {padding})"
-        )
-    if out_w < 1:
-        raise ValueError(
-            f"conv output width {out_w} < 1 (input width {in_w}, "
-            f"kernel {kw}, padding {padding})"
-        )
-    return out_h, out_w
-
-
-def _check_grad_shape(op: str, grad_output: np.ndarray, what: str,
-                      shape: tuple[int, ...]) -> None:
-    """A backward kernel's grad_output must have its forward output's shape."""
-    if grad_output.shape != shape:
-        raise ValueError(f"{op} grad_output shape {grad_output.shape} does "
-                         f"not match {what} shape {shape}")
+    """The output extents of conv2d(x, weights, padding)."""
+    return (x.shape[1] + 2 * padding - weights.shape[2] + 1,
+            x.shape[2] + 2 * padding - weights.shape[3] + 1)
 
 
 def _padded_flat(x: np.ndarray, padding: int) -> tuple[np.ndarray, int]:
@@ -143,8 +111,6 @@ def conv2d_backward(x: np.ndarray, weights: np.ndarray, padding: int,
     gradient.
     """
     out_h, out_w = _conv_output_size(x, weights, padding)
-    _check_grad_shape("conv2d_backward", grad_output, "output",
-                      (weights.shape[0], out_h, out_w))
 
     p = padding
     c_in, in_h, in_w = x.shape
@@ -176,13 +142,6 @@ def maxpool2d(x: np.ndarray) -> np.ndarray:
     No tap holds -0.0: relu is np.maximum(x, 0.0), which maps -0.0 to
     +0.0.
     """
-    if x.ndim != 3:
-        raise ValueError(f"maxpool2d input must be [C,H,W], got {x.ndim} dimensions")
-    _, h, w = x.shape
-    if h % 2:
-        raise ValueError(f"maxpool2d height {h} is odd")
-    if w % 2:
-        raise ValueError(f"maxpool2d width {w} is odd")
     return np.maximum(np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2]),
                       np.maximum(x[:, 1::2, 0::2], x[:, 1::2, 1::2]))
 
@@ -195,10 +154,6 @@ def maxpool2d_backward(x: np.ndarray, out: np.ndarray,
     row-major order, whose value equals out; the rest get 0.0. A -0.0
     entry arrives as +0.0, as a sum from 0.0 gives.
     """
-    _check_grad_shape("maxpool2d_backward", grad_output, "pooled", out.shape)
-    if x.shape != (out.shape[0], 2 * out.shape[1], 2 * out.shape[2]):
-        raise ValueError(f"maxpool2d_backward input shape {x.shape} does not "
-                         f"pool to shape {out.shape}")
     g = grad_output + 0.0
     grad_x = np.empty_like(x)  # the four views below tile it
     free = np.ones(out.shape, dtype=bool)  # window not yet routed
@@ -217,7 +172,6 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 def relu_backward(x: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
     """Pass gradient where x > 0, zero elsewhere (subgradient 0 at 0)."""
-    _check_grad_shape("relu_backward", grad_output, "input", x.shape)
     return np.where(x > 0.0, grad_output, 0.0)
 
 
@@ -233,7 +187,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid_backward(probs: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
     """Chain grad_output through the logistic, given the forward outputs."""
-    _check_grad_shape("sigmoid_backward", grad_output, "probs", probs.shape)
     return grad_output * probs * (1.0 - probs)
 
 
@@ -248,8 +201,6 @@ def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
     Row i holds 1 - frac at the coordinate's floor lo and frac at
     hi = lo+1, clipped to n_in-1, so a lo == hi row holds exactly 1.0.
     """
-    if n_out < 1:
-        raise ValueError(f"resize output extent must be positive, got {n_out}")
     if n_out == 1 or n_in == 1:
         src = np.zeros(n_out)
     else:
@@ -275,8 +226,6 @@ def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     makes its whole output channel non-finite, because its zero weights
     give 0*inf = nan.
     """
-    if x.ndim != 3:
-        raise ValueError(f"bilinear_resize input must be [C,h,w], got {x.ndim} dimensions")
     _, h, w = x.shape
     if (h, w) == (out_h, out_w):
         return x
@@ -288,11 +237,6 @@ def bilinear_resize_backward(grad_output: np.ndarray, in_h: int,
     """Gradient of bilinear_resize for an input [C,in_h,in_w]: the transpose
     of the per-axis sampling matrices, R_h.T @ grad_output[c] @ R_w. A
     same-size call returns grad_output itself."""
-    if grad_output.ndim != 3:
-        raise ValueError(
-            f"bilinear_resize_backward grad must be [C,out_h,out_w], "
-            f"got {grad_output.ndim} dimensions"
-        )
     _, out_h, out_w = grad_output.shape
     if (in_h, in_w) == (out_h, out_w):
         return grad_output
@@ -302,29 +246,11 @@ def bilinear_resize_backward(grad_output: np.ndarray, in_h: int,
 
 def concat_channels(inputs: list[np.ndarray]) -> np.ndarray:
     """Stack [C_out,C_k,kh,kw] weights along C_in (axis 1) in argument order."""
-    if not inputs:
-        raise ValueError("concat_channels requires at least one input")
-    first = inputs[0].shape
-    for k, a in enumerate(inputs):
-        if a.ndim != 4 or a.shape[:1] + a.shape[2:] != first[:1] + first[2:]:
-            raise ValueError(
-                f"concat_channels input {k} has shape {a.shape}: inputs must "
-                f"be [C_out,C_k,kh,kw] and match input 0's {first} off the "
-                f"channel axis 1"
-            )
     return np.concatenate(inputs, axis=1)
 
 
 def split_channels(x: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
     """Inverse of concat_channels: views of x split along C_in by sizes."""
-    if x.ndim != 4:
-        raise ValueError(f"split_channels input must be [C_out,C_in,kh,kw], "
-                         f"got {x.ndim} dimensions")
-    if sum(sizes) != x.shape[1]:
-        raise ValueError(
-            f"split_channels sizes sum to {sum(sizes)}, input has "
-            f"{x.shape[1]} channels"
-        )
     out, offset = [], 0
     for c in sizes:
         out.append(x[:, offset:offset + c])

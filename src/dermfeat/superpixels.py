@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netpbm
-from .jsonio import json_field, parsing, read_json, write_json
+from .jsonio import json_field, json_table, parsing, read_json, write_json
 from .ops import as_f64
 
 CLASS_NAMES = ("pigment_network", "negative_network", "milia_like_cyst", "streaks")
@@ -164,10 +164,8 @@ def _parse_labels(doc: dict) -> np.ndarray:
     if tuple(doc["classes"]) != CLASS_NAMES:
         raise ValueError(f"class list {doc['classes']} does not match "
                          f"{list(CLASS_NAMES)}")
-    labels = np.asarray(doc["labels"], dtype=np.float64)
-    if labels.ndim != 2:
-        raise ValueError("labels must be a list of rows")
-    return validate_labels(labels, json_field(doc, "superpixel_count", int))
+    return validate_labels(json_table(doc, "labels"),
+                           json_field(doc, "superpixel_count", int))
 
 
 def read_labels(path: str | os.PathLike) -> np.ndarray:

@@ -653,13 +653,22 @@ def _zeroed(entry):
     ("sample_00002_labels.json", lambda p: _edit_json(
         p, lambda d: {**d, "superpixel_count": d["superpixel_count"] + 0.7}),
      "malformed labels: 'superpixel_count' must be int, got 16.7"),
+    # np.asarray would read true as 1.0 and "1" as 1.0.
+    ("sample_00002_labels.json", lambda p: _edit_json(
+        p, lambda d: {**d, "labels": [[True, "1", 0, 0], *d["labels"][1:]]}),
+     "malformed labels: 'labels' entries must be numbers, got bool, str"),
+    ("pred.json", lambda p: _edit_json(
+        p, lambda d: [{**d[0], "scores": [["0.5", True, 0.1, 0.2],
+                                          *d[0]["scores"][1:]]}, *d[1:]]),
+     "malformed predictions: 'scores' entries must be numbers, got bool, str"),
 ], ids=["manifest-entry-missing-key", "manifest-truncated",
         "labels-classes-not-a-list", "prediction-missing-scores",
         "prediction-repeated-first", "prediction-repeated-last",
         "manifest-image-repeated",
         "predictions-not-a-list", "predictions-truncated",
         "manifest-image-not-a-string", "manifest-image-size-float",
-        "manifest-image-size-bool", "labels-count-float"])
+        "manifest-image-size-bool", "labels-count-float",
+        "labels-entry-bool-or-string", "prediction-score-bool-or-string"])
 def test_malformed_json_input_exits_1_naming_file(capsys, small_dataset,
                                                   tmp_path, target, mutate,
                                                   message):

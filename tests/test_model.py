@@ -210,6 +210,21 @@ class TestForward:
         with pytest.raises(ValueError, match="divisible by 2"):
             forward(init_params(TINY, 0), TINY, np.zeros((1, 7, 8)))
 
+    @pytest.mark.parametrize("hw", [(0, 0), (0, 16), (16, 0)],
+                             ids=["0x0", "0x16", "16x0"])
+    def test_rejects_zero_extent_naming_it(self, hw):
+        # 0 is divisible by every size multiple; the image check still
+        # names the empty extent before any kernel runs.
+        cfg = EncoderConfig()
+        with pytest.raises(ValueError, match=rf"image extents {hw[0]}x{hw[1]} "
+                           r"must be divisible by 16 \(5 blocks\) and positive"):
+            forward(init_params(cfg, 0), cfg, np.zeros((3, *hw)))
+
+    def test_rejects_wrong_channel_count(self):
+        with pytest.raises(ValueError, match=r"expected image \[1,H,W\], "
+                           r"got shape \(3, 8, 8\)"):
+            forward(init_params(TINY, 0), TINY, np.zeros((3, 8, 8)))
+
     def test_output_shape_at_protocol_resolution(self):
         # The full-size default encoder runs at 336x336 without code change.
         cfg = EncoderConfig()
@@ -517,6 +532,17 @@ class TestSerialization:
         params = init_params(cfg, 0)
         params["block2.weight"] = np.zeros((3, 9, 3, 3))
         with pytest.raises(ValueError, match="block2.weight"):
+            check_params(params, cfg)
+
+    @pytest.mark.parametrize("shape", [(4, 4, 1, 1), (4, 5, 1), (3, 5, 1, 1)],
+                             ids=["too-few-channels", "rank-3", "too-few-classes"])
+    def test_check_params_rejects_head_shape(self, shape):
+        # The head is split per tap by channel count: its shape is checked
+        # here, not by the kernels.
+        cfg = EncoderConfig(channels=(2, 3), in_channels=1)
+        params = init_params(cfg, 0)
+        params["head.weight"] = np.zeros(shape)
+        with pytest.raises(ValueError, match=r"tensor 4 is \('head.weight'"):
             check_params(params, cfg)
 
     def test_check_params_enforces_names_and_order(self):

@@ -1,6 +1,6 @@
 """Tensor kernel tests: independent oracles, frozen examples, gradient checks."""
 
-import re
+import inspect
 
 import numpy as np
 import pytest
@@ -96,19 +96,6 @@ class TestConv2d:
         rhs = a * ops.conv2d(x, w, 1) + c * ops.conv2d(y, w, 1)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
-    def test_shape_errors_name_dimension(self):
-        x = np.zeros((3, 4, 4))
-        w = np.zeros((2, 4, 3, 3))
-        with pytest.raises(ValueError, match="dim 1"):
-            ops.conv2d(x, w, 0)
-        with pytest.raises(ValueError, match="output height"):
-            ops.conv2d(np.zeros((1, 2, 8)), np.zeros((1, 1, 3, 3)), 0)
-        with pytest.raises(ValueError, match="output width"):
-            ops.conv2d(np.zeros((1, 8, 2)), np.zeros((1, 1, 3, 3)), 0)
-        with pytest.raises(ValueError, match="padding"):
-            ops.conv2d(x, np.zeros((2, 3, 3, 3)), -1)
-
-
 class TestConv2dBackward:
     def test_identity_kernel_passes_grad_through(self):
         rng = np.random.default_rng(7)
@@ -145,13 +132,6 @@ class TestConv2dBackward:
             np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13,
                                        err_msg=f"grad {name}")
 
-    def test_rejects_wrong_grad_shape(self):
-        x = np.zeros((1, 4, 4))
-        w = np.zeros((1, 1, 3, 3))
-        with pytest.raises(ValueError, match="grad_output"):
-            ops.conv2d_backward(x, w, 0, np.zeros((1, 4, 4)))
-
-
 class TestMaxPool:
     def test_single_window(self):
         out = ops.maxpool2d(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
@@ -168,12 +148,6 @@ class TestMaxPool:
         gx = ops.maxpool2d_backward(x, ops.maxpool2d(x), np.ones((1, 1, 3)))
         np.testing.assert_array_equal(gx, [[[1.0, 0.0, 0.0, 1.0, 0.0, 1.0],
                                             [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]]])
-
-    def test_rejects_odd_extent(self):
-        with pytest.raises(ValueError, match="odd"):
-            ops.maxpool2d(np.zeros((1, 3, 4)))
-        with pytest.raises(ValueError, match="odd"):
-            ops.maxpool2d(np.zeros((1, 4, 5)))
 
     def test_backward_routes_to_argmax_only(self):
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
@@ -209,17 +183,6 @@ class TestMaxPool:
             got = ops.maxpool2d_backward(x, out, g)
             want = maxpool2d_backward_oracle(argmax, g, x.shape)
             assert got.tobytes() == want.tobytes()
-
-    def test_backward_rejects_shape_mismatch(self):
-        x = np.zeros((2, 4, 6))
-        out = ops.maxpool2d(x)
-        with pytest.raises(ValueError, match=re.escape(
-                "grad_output shape (2, 2, 2) does not match pooled shape (2, 2, 3)")):
-            ops.maxpool2d_backward(x, out, np.zeros((2, 2, 2)))
-        for bad in ((2, 4, 5), (2, 6, 6), (3, 4, 6)):
-            with pytest.raises(ValueError, match=re.escape(
-                    f"input shape {bad} does not pool to shape (2, 2, 3)")):
-                ops.maxpool2d_backward(np.zeros(bad), out, np.zeros(out.shape))
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(10)
@@ -374,10 +337,6 @@ class TestBilinearResize:
             assert out[0, -1, 0] == x[0, -1, 0]
             assert out[0, -1, -1] == x[0, -1, -1]
 
-    def test_rejects_zero_output_extent(self):
-        with pytest.raises(ValueError, match="positive"):
-            ops.bilinear_resize(np.zeros((1, 2, 2)), 0, 3)
-
     def test_upsample_then_check_gradient(self):
         rng = np.random.default_rng(15)
         x = rng.normal(size=(2, 3, 5))
@@ -456,24 +415,6 @@ class TestConcat:
             assert np.shares_memory(part, cat)  # views, not copies
             np.testing.assert_array_equal(part, x)
 
-    @pytest.mark.parametrize("other", [(3, 1, 2, 2), (2, 1, 3, 2), (2, 1, 2, 3)],
-                             ids=["c-out", "height", "width"])
-    def test_rejects_mismatch_off_channel_axis(self, other):
-        with pytest.raises(ValueError, match="off the channel axis"):
-            ops.concat_channels([np.zeros((2, 1, 2, 2)), np.zeros(other)])
-
-    def test_rejects_rank_mismatch(self):
-        with pytest.raises(ValueError, match=r"must be \[C_out,C_k,kh,kw\]"):
-            ops.concat_channels([np.zeros((1, 1, 2, 2)), np.zeros((1, 2, 2))])
-        with pytest.raises(ValueError, match=r"must be \[C_out,C_k,kh,kw\]"):
-            ops.concat_channels([np.zeros((1, 2, 2))])
-        with pytest.raises(ValueError, match=r"must be \[C_out,C_in,kh,kw\]"):
-            ops.split_channels(np.zeros((3, 2, 2)), [3])
-
-    def test_split_rejects_wrong_channel_total(self):
-        with pytest.raises(ValueError, match="sum to 3"):
-            ops.split_channels(np.zeros((4, 4, 1, 1)), [1, 2])
-
 
 def test_row_major_layout_round_trip():
     rng = np.random.default_rng(18)
@@ -488,27 +429,27 @@ def test_row_major_layout_round_trip():
         assert flat[(c * h + i) * w + j] == arr[c, i, j]
 
 
-def test_model_path_feeds_kernels_float64_only(monkeypatch):
-    """Kernels convert no operand, so every caller must pass float64:
-    every function in ops, as_f64 aside, sees only float64 arrays during
-    a 64 px forward and backward of the default encoder and the canned
-    gradient-check suite. The model gets float32 image, params and
-    grad_probs, which its entry points coerce."""
-    seen, bad = set(), []
+def _trace_model_path(monkeypatch, check):
+    """Wrap every function in ops, as_f64 aside, so each call hands
+    check(name, arguments by parameter name, result) to the test; then
+    run a 64 px forward and backward of the default encoder, on float32
+    image, params and grad_probs, and the canned gradient-check suite.
+    Returns (names of the wrapped functions, names of those called)."""
+    seen = set()
 
     def wrap(name, fn):
-        def checked(*args, **kwargs):
-            seen.add(name)
-            for k, a in enumerate([*args, *kwargs.values()]):
-                for arr in a if isinstance(a, (list, tuple)) else [a]:
-                    if isinstance(arr, np.ndarray) and arr.dtype != np.float64:
-                        bad.append((name, k, arr.dtype))
-            return fn(*args, **kwargs)
-        return checked
+        sig = inspect.signature(fn)
 
-    kernels = [name for name, fn in vars(ops).items()
+        def traced(*args, **kwargs):
+            seen.add(name)
+            out = fn(*args, **kwargs)
+            check(name, sig.bind(*args, **kwargs).arguments, out)
+            return out
+        return traced
+
+    kernels = {name for name, fn in vars(ops).items()
                if callable(fn) and getattr(fn, "__module__", None) == ops.__name__
-               and name != "as_f64"]
+               and name != "as_f64"}
     for name in kernels:
         monkeypatch.setattr(ops, name, wrap(name, getattr(ops, name)))
 
@@ -521,5 +462,74 @@ def test_model_path_feeds_kernels_float64_only(monkeypatch):
     model.backward(params, cfg, cache,
                    rng.normal(size=probs.shape).astype(np.float32))
     checks.run_suite(1)
+    return kernels, seen
+
+
+def test_model_path_feeds_kernels_float64_only(monkeypatch):
+    """Kernels convert no operand, so every caller must pass float64:
+    every function in ops sees only float64 arrays on the model path,
+    whose entry points coerce the float32 image, params and grad_probs."""
+    bad = []
+
+    def check(name, arguments, out):
+        for arg, a in arguments.items():
+            for arr in a if isinstance(a, (list, tuple)) else [a]:
+                if isinstance(arr, np.ndarray) and arr.dtype != np.float64:
+                    bad.append((name, arg, arr.dtype))
+
+    kernels, seen = _trace_model_path(monkeypatch, check)
     assert bad == []
-    assert seen == set(kernels)
+    assert seen == kernels
+
+
+def _conv_shape(x, weights, padding):
+    """conv2d's output shape, from the operand shapes alone."""
+    return (weights.shape[0], x.shape[1] + 2 * padding - weights.shape[2] + 1,
+            x.shape[2] + 2 * padding - weights.shape[3] + 1)
+
+
+# The shape relations the kernels assume and no longer check, as
+# predicates over (arguments by parameter name, result).
+SHAPE_CONTRACT = {
+    "conv2d": lambda a, out: (a["x"].shape[0] == a["weights"].shape[1]
+                              and min(out.shape) >= 1),
+    "conv2d_backward": lambda a, out: (
+        a["x"].shape[0] == a["weights"].shape[1]
+        and a["grad_output"].shape == _conv_shape(a["x"], a["weights"],
+                                                  a["padding"])
+        and min(a["grad_output"].shape) >= 1),
+    "maxpool2d": lambda a, out: (a["x"].ndim == 3 and a["x"].shape[1] % 2 == 0
+                                 and a["x"].shape[2] % 2 == 0),
+    "maxpool2d_backward": lambda a, out: (
+        a["grad_output"].shape == a["out"].shape
+        and a["x"].shape == (a["out"].shape[0], 2 * a["out"].shape[1],
+                             2 * a["out"].shape[2])),
+    "relu_backward": lambda a, out: a["grad_output"].shape == a["x"].shape,
+    "sigmoid_backward": lambda a, out: (a["grad_output"].shape
+                                        == a["probs"].shape),
+    "bilinear_resize": lambda a, out: (a["x"].ndim == 3
+                                       and min(a["out_h"], a["out_w"]) >= 1),
+    "bilinear_resize_backward": lambda a, out: (
+        a["grad_output"].ndim == 3 and min(a["in_h"], a["in_w"]) >= 1),
+    "split_channels": lambda a, out: (a["x"].ndim == 4
+                                      and sum(a["sizes"]) == a["x"].shape[1]),
+    "concat_channels": lambda a, out: (
+        len({x.shape[:1] + x.shape[2:] for x in a["inputs"]}) == 1
+        and out.ndim == 4),
+}
+
+
+def test_model_path_keeps_kernel_shape_contract(monkeypatch):
+    """Kernels check no operand shape: the model's boundary checks of the
+    image, params and grad_probs must imply every relation they assume,
+    so that a caller that breaks one fails here instead of broadcasting."""
+    broken = []
+
+    def check(name, arguments, out):
+        if name in SHAPE_CONTRACT and not SHAPE_CONTRACT[name](arguments, out):
+            broken.append((name, {k: np.shape(v) for k, v in arguments.items()
+                                  if isinstance(v, np.ndarray)}))
+
+    _, seen = _trace_model_path(monkeypatch, check)
+    assert broken == []
+    assert set(SHAPE_CONTRACT) <= seen
