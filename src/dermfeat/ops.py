@@ -27,13 +27,16 @@ analytic gradients of sum(grad_output * forward(...)) and are verified
 against central finite differences in the test suite.
 
 Convolution is lowered to BLAS (Chellapilla et al., High Performance
-Convolutional Neural Networks for Document Processing, 2006) without an
-im2col copy. The input is zero-padded once and flattened to [C_in, N]
-with padded row length Wp. Computing every output row at the full width
-Wp makes each kernel tap read one contiguous column range, so the tap is
-one [C_out,C_in] @ [C_in,out_h*Wp] matmul. The kw-1 columns per row whose
-windows wrap into the next row are dropped from the result, a view of the
-accumulator, and held at zero in the backward pass's output gradient.
+Convolutional Neural Networks for Document Processing, 2006). The input
+is zero-padded once and flattened to [C_in, N] with padded row length
+Wp. Computing every output row at the full width Wp makes each kernel
+tap read one contiguous column range. The forward copies the kh*kw
+ranges into one [kh*kw*C_in, out_h*Wp] column block (im2col) and forms
+one [C_out, kh*kw*C_in] matmul with it. The backward forms no column
+block: it keeps two matmuls per tap (conv2d_backward says why). The kw-1
+columns per row whose windows wrap into the next row are dropped from
+the forward's result, a view of the product, and held at zero in the
+backward pass's output gradient.
 """
 
 from __future__ import annotations
@@ -77,25 +80,27 @@ def conv2d(x: np.ndarray, weights: np.ndarray, padding: int) -> np.ndarray:
 
     Each output element is the sum over the C_in x kh x kw window of
     elementwise products. Output pixel (i, j) of tap (ki, kj) reads flat
-    column (i+ki)*Wp + j+kj of the padded input, so the tap adds
-    weights[:, :, ki, kj] @ flat[:, ki*Wp+kj:][:, :out_h*Wp] into a
-    [C_out, out_h*Wp] accumulator; its last kw-1 columns per row hold
+    column (i+ki)*Wp + j+kj of the padded input, so the tap's C_in rows
+    of a [kh*kw*C_in, out_h*Wp] column block are copied from
+    flat[:, ki*Wp+kj:][:, :out_h*Wp], taps in row-major order. The output
+    is one product of the weights, as a [C_out, kh*kw*C_in] matrix in the
+    same (ki, kj, c) order, with that block; each output is then one
+    BLAS sum over kh*kw*C_in terms. The last kw-1 columns per row hold
     wrapped windows and are dropped. The result is that crop, a view of
-    the accumulator with no copy: it is C-contiguous only when kw == 1.
+    the product: it is C-contiguous only when kw == 1.
     """
     out_h, out_w = _conv_output_size(x, weights, padding)
 
     flat, wp = _padded_flat(x, padding)
     n = out_h * wp
-    c_out, _, kh, kw = weights.shape
-    # [kh,kw,C_out,C_in]: each tap's matrix reaches BLAS contiguous.
-    taps = np.ascontiguousarray(weights.transpose(2, 3, 0, 1))
-    acc = np.zeros((c_out, n))
+    c_out, c_in, kh, kw = weights.shape
+    cols = np.empty((kh, kw, c_in, n))
     for ki in range(kh):
         for kj in range(kw):
-            cols = slice(ki * wp + kj, ki * wp + kj + n)
-            acc += taps[ki, kj] @ flat[:, cols]
-    return acc.reshape(c_out, out_h, wp)[:, :, :out_w]
+            cols[ki, kj] = flat[:, ki * wp + kj:ki * wp + kj + n]
+    w = weights.transpose(0, 2, 3, 1).reshape(c_out, -1)
+    out = w @ cols.reshape(-1, n)
+    return out.reshape(c_out, out_h, wp)[:, :, :out_w]
 
 
 def conv2d_backward(x: np.ndarray, weights: np.ndarray, padding: int,
@@ -109,6 +114,14 @@ def conv2d_backward(x: np.ndarray, weights: np.ndarray, padding: int,
     gives grad_weights[:, :, ki, kj] = g @ flat[:, s].T and adds
     weights[:, :, ki, kj].T @ g into columns s of the padded input's
     gradient.
+
+    Unlike conv2d, this forms no im2col column block. Measured with one
+    BLAS thread over the five default blocks, per image, a one-GEMM
+    backward was slower at 64 px (1.4-1.5 to 2.1 ms) and 128 px (4.2-4.4
+    to 5.1 ms), where training runs most, and faster only at 256 px
+    (23-25 to 18-20 ms). Its column block is also formed while every
+    cached forward of a batch is held: at 256 px, batch 4, it raised the
+    training run's peak RSS by 9-11%.
     """
     out_h, out_w = _conv_output_size(x, weights, padding)
 

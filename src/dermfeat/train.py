@@ -128,10 +128,9 @@ def train(dataset: Sequence[Sample],
             _check_finite(epoch, batch, {
                 f"prediction for {dataset[i].name!r}": probs
                 for i, probs in zip(idx, preds)})
-            pred_stack = np.stack(preds)
-            truth_stack = np.stack([truths[i] for i in idx])
-            batch_loss, _, grad_stack = f1_loss_grad(pred_stack, truth_stack,
-                                                     cfg.eps)
+            # Both stacks are temporaries, freed before the backward.
+            batch_loss, _, grad_stack = f1_loss_grad(
+                np.stack(preds), np.stack([truths[i] for i in idx]), cfg.eps)
 
             grad_total = {name: np.zeros_like(p) for name, p in params.items()}
             for cache, grad_probs in zip(caches, grad_stack):

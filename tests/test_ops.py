@@ -49,11 +49,44 @@ def conv2d_backward_oracle(x, w, p, g):
     return grad_xp[:, p:p + in_h, p:p + in_w], grad_w
 
 
+def conv2d_tap_sum(x, w, p):
+    """The nine-tap lowering conv2d's one GEMM replaced: one
+    [C_out,C_in] @ [C_in,out_h*out_w] matmul per tap, in row-major tap
+    order, summed into an accumulator."""
+    c_out, c_in, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
+    out_h = x.shape[1] + 2 * p - kh + 1
+    out_w = x.shape[2] + 2 * p - kw + 1
+    acc = np.zeros((c_out, out_h * out_w))
+    for ki in range(kh):
+        for kj in range(kw):
+            window = xp[:, ki:ki + out_h, kj:kj + out_w].reshape(c_in, -1)
+            acc += w[:, :, ki, kj] @ window
+    return acc.reshape(c_out, out_h, out_w)
+
+
+class StridedShape(tuple):
+    """An input shape that conv_input draws as a non-contiguous view."""
+
+
+def conv_input(rng, shape):
+    """A normal draw of `shape`. A StridedShape is drawn as every other
+    row and column of a larger array, channels reversed: a view with
+    negative and non-unit strides."""
+    if isinstance(shape, StridedShape):
+        c, h, w = shape
+        return rng.normal(size=(c, 2 * h, 2 * w))[::-1, ::2, ::2]
+    return rng.normal(size=shape)
+
+
 # (input [C,H,W], kernel kh x kw, padding). (3,3,2) pads beyond k // 2,
 # so the output outgrows the input: the edge case of the extra-row
-# layout. The last two give a 1-row and a 1-column output.
+# layout. The next two give a 1-row and a 1-column output. Then a tall
+# kernel over 4 channels, unpadded, where a column block in the wrong
+# order or a crop at the wrong width shows, and a strided input view.
 CONV_CASES = [((3, 6, 8), 3, 3, 1), ((3, 6, 8), 2, 3, 0), ((3, 6, 8), 1, 1, 0),
-              ((3, 6, 8), 3, 3, 2), ((3, 3, 8), 3, 3, 0), ((3, 6, 1), 3, 3, 1)]
+              ((3, 6, 8), 3, 3, 2), ((3, 3, 8), 3, 3, 0), ((3, 6, 1), 3, 3, 1),
+              ((4, 7, 9), 3, 2, 0), (StridedShape((2, 5, 7)), 3, 3, 1)]
 
 
 class TestConv2d:
@@ -67,8 +100,8 @@ class TestConv2d:
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(3)
         for shape, kh, kw, padding in CONV_CASES:
-            x = rng.normal(size=shape)
-            w = rng.normal(size=(2, 3, kh, kw))
+            x = conv_input(rng, shape)
+            w = rng.normal(size=(2, shape[0], kh, kw))
             np.testing.assert_allclose(ops.conv2d(x, w, padding),
                                        conv2d_oracle(x, w, padding),
                                        rtol=1e-13, atol=1e-13)
@@ -96,6 +129,22 @@ class TestConv2d:
         rhs = a * ops.conv2d(x, w, 1) + c * ops.conv2d(y, w, 1)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
+    def test_encoder_blocks_match_tap_sum(self):
+        """Each default block at 64 px, as one GEMM, moves only the last
+        bits of the nine-tap accumulation."""
+        cfg = model.EncoderConfig()
+        rng = np.random.default_rng(11)
+        c_in, size = cfg.in_channels, 64
+        for c_out in cfg.channels:
+            x = rng.normal(size=(c_in, size, size))
+            w = rng.normal(size=(c_out, c_in, model.KERNEL, model.KERNEL))
+            got = ops.conv2d(x, w, model.KERNEL // 2)
+            want = conv2d_tap_sum(x, w, model.KERNEL // 2)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            c_in, size = c_out, size // 2
+
+
 class TestConv2dBackward:
     def test_identity_kernel_passes_grad_through(self):
         rng = np.random.default_rng(7)
@@ -122,7 +171,7 @@ class TestConv2dBackward:
     @pytest.mark.parametrize("shape,kh,kw,padding", CONV_CASES)
     def test_matches_einsum_tap_loop(self, shape, kh, kw, padding):
         rng = np.random.default_rng(10)
-        x = rng.normal(size=shape)
+        x = conv_input(rng, shape)
         w = rng.normal(size=(4, shape[0], kh, kw))
         out_shape = ops.conv2d(x, w, padding).shape
         g = rng.normal(size=out_shape)
