@@ -20,7 +20,7 @@ from . import checks, data, metrics, model
 from .jsonio import by_key, json_table, read_json, write_json
 from .model import EncoderConfig
 from .superpixels import CLASS_NAMES, mask_to_scores
-from .train import TrainConfig, predict, train
+from .train import TrainConfig, image_map, image_workers, predict, train
 
 
 class ConfigError(Exception):
@@ -232,17 +232,21 @@ def cmd_predict(cfg: dict) -> int:
         except ValueError as exc:
             raise ValueError(f"image {s.name!r} does not fit weights "
                              f"{weights_path}: {exc}") from None
-    entries = []
-    for s in samples:
+
+    def entry(s: data.Sample) -> dict:
         # Finite but huge weights overflow inside the ops; the check below
-        # names the image and weights instead of numpy's warnings.
+        # names the image and weights instead of numpy's warnings. A pool
+        # thread does not inherit errstate, so each call enters it.
         with np.errstate(over="ignore", invalid="ignore"):
             probs = predict(params, encoder, s.image)
         if not np.isfinite(probs).all():
             raise ValueError(f"weights {weights_path} give non-finite "
                              f"probabilities for image {s.name!r}")
-        scores = mask_to_scores(s.smap, probs)
-        entries.append({"image": s.name, "scores": scores.tolist()})
+        return {"image": s.name, "scores": mask_to_scores(s.smap, probs).tolist()}
+
+    pixels = max(s.image.shape[1] * s.image.shape[2] for s in samples)
+    with image_map(image_workers(len(samples), pixels)) as each:
+        entries = list(each(entry, samples))
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "predictions.json", entries)
     print(f"wrote scores for {len(entries)} images to {out / 'predictions.json'}")

@@ -204,9 +204,14 @@ def backward(params: ModelParams, cfg: EncoderConfig, cache: ForwardCache,
         c, th, tw = tap.shape
         g = ops.bilinear_resize_backward(g_logits, th, tw).reshape(CLASS_COUNT, -1)
         g_head[i] = (g @ tap.reshape(c, -1).T)[:, :, None, None]
-        g_tap = (head[i][:, :, 0, 0].T @ g).reshape(c, th, tw) + g_from_pool
+        g_tap = (head[i][:, :, 0, 0].T @ g).reshape(c, th, tw)
+        g_tap += g_from_pool
+        # Each temporary is dropped once used: with one backward per
+        # thread, the peak is every thread's live set at once.
+        del g, g_from_pool
         # relu(z) > 0 exactly where z > 0, so the tap masks like z.
         g_z = ops.relu_backward(tap, g_tap)
+        del g_tap
         block = f"block{i + 1}"
         grads[f"{block}.bias"] = g_z.sum(axis=(1, 2))
         g_x, grads[f"{block}.weight"] = ops.conv2d_backward(

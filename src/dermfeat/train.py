@@ -4,14 +4,24 @@ smoothed F1 loss.
 Each epoch visits the samples in a seed-shuffled order and partitions
 them into batches (the last short batch is kept). A batch is scored with
 fuzzy counts pooled over all of its pixels per class, and parameters
-follow stochastic gradient descent with classical momentum. Serial
-execution is bit-deterministic for a fixed seed.
+follow stochastic gradient descent with classical momentum.
+
+Only the loss couples a batch's images, so each image's forward, and its
+backward once the loss gradient is known, is independent work. Images of
+at least PARALLEL_MIN_PIXELS pixels run on threads (numpy releases the
+interpreter lock inside BLAS), one per CPU in the process's affinity;
+smaller ones run on the calling thread alone. The gradients are summed in
+image order either way, so a fixed seed gives the same bytes on any
+number of threads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -22,6 +32,13 @@ from .data import Sample
 from .loss import f1_loss_grad
 from .model import EncoderConfig, ModelParams
 from .superpixels import labels_to_mask
+
+# Images of at least this many pixels run on a thread per CPU, smaller
+# ones serially. On 2 CPUs with one BLAS thread (CHANGES.md has the runs),
+# threads cost 64 px training throughput, and threading 128 px images
+# raised infer-128's peak memory by 9%; at 256 px a batch's forward and
+# backward ran ~1.7x faster.
+PARALLEL_MIN_PIXELS = 192 * 192
 
 
 @dataclass(frozen=True)
@@ -83,6 +100,51 @@ def _check_finite(epoch: int, batch: int, tensors: dict) -> None:
                                      f"batch {batch}: {name} is not finite")
 
 
+def image_workers(images: int, pixels: int) -> int:
+    """Threads for `images` images of `pixels` pixels each: the number of
+    CPUs the process may run on, capped by the image count; 1 below
+    PARALLEL_MIN_PIXELS."""
+    if pixels < PARALLEL_MIN_PIXELS:
+        return 1
+    return min(len(os.sched_getaffinity(0)), images)
+
+
+@contextlib.contextmanager
+def image_map(workers: int):
+    """Yields map(fn, items), which yields fn(item) for each item of the
+    sequence `items`, in order.
+
+    The items run in rounds of `workers`: the calling thread runs each
+    round's first item and pool threads the rest, so one worker starts no
+    thread. A round's results are yielded once all of it is done, and the
+    next round starts when the caller asks for its first result, so a
+    caller that folds each result in holds one round's results at a time.
+    The first failure in item order is raised, as a serial loop would
+    raise it, and no later round starts. The pool is shut down when the
+    context exits, however it exits. numpy's errstate is not inherited by
+    a pool thread: fn enters its own.
+    """
+    pool = ThreadPoolExecutor(workers - 1) if workers > 1 else None
+
+    def map_items(fn, items):
+        for start in range(0, len(items), workers):
+            first, *rest = items[start:start + workers]
+            futures = [pool.submit(fn, item) for item in rest]
+            try:
+                result = fn(first)
+            finally:
+                wait(futures)
+            yield result
+            for f in futures:
+                yield f.result()
+
+    try:
+        yield map_items
+    finally:
+        if pool is not None:
+            pool.shutdown()
+
+
 # Divergence makes infs (a BLAS matmul overflows) and NaNs (inf - inf)
 # inside the ops; each one reaches a tensor that _check_finite names, so
 # numpy's warning would only be noise.
@@ -104,7 +166,8 @@ def train(dataset: Sequence[Sample],
             raise ValueError(f"sample {sample.name!r}: image shape "
                              f"{sample.image.shape} differs from the first "
                              f"sample's {shape}")
-        truths.append(labels_to_mask(sample.smap, sample.labels))
+        # 0/1 masks: one byte per pixel until a batch stacks them.
+        truths.append(labels_to_mask(sample.smap, sample.labels).astype(np.uint8))
 
     params = model.init_params(cfg.encoder, cfg.seed)
     velocity = {name: np.zeros_like(p) for name, p in params.items()}
@@ -112,41 +175,49 @@ def train(dataset: Sequence[Sample],
     # stable: a zero learning-rate run then reports the same loss each epoch.
     order = np.random.default_rng(cfg.seed).permutation(len(dataset))
 
-    stats = []
-    for epoch in range(1, cfg.epochs + 1):
-        t0 = time.perf_counter()
-        batch_losses = []
-        for batch, start in enumerate(range(0, len(dataset), cfg.batch_size), 1):
-            idx = order[start:start + cfg.batch_size]
-            caches = []
-            preds = []
-            for i in idx:
-                probs, cache = model.forward(params, cfg.encoder,
-                                             dataset[i].image)
-                preds.append(probs)
-                caches.append(cache)
-            _check_finite(epoch, batch, {
-                f"prediction for {dataset[i].name!r}": probs
-                for i, probs in zip(idx, preds)})
-            # Both stacks are temporaries, freed before the backward.
-            batch_loss, _, grad_stack = f1_loss_grad(
-                np.stack(preds), np.stack([truths[i] for i in idx]), cfg.eps)
+    def quiet(fn, *args):
+        # train's errstate, entered again on whichever thread runs fn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*args)
 
-            grad_total = {name: np.zeros_like(p) for name, p in params.items()}
-            for cache, grad_probs in zip(caches, grad_stack):
-                grads, _ = model.backward(params, cfg.encoder, cache, grad_probs)
-                for name, g in grads.items():
-                    grad_total[name] += g
-            for p, v, g in zip(params.values(), velocity.values(),
-                               grad_total.values()):
-                v *= cfg.momentum
-                v -= cfg.learning_rate * g
-                p += v
-            _check_finite(epoch, batch, {"batch loss": batch_loss, **params})
-            batch_losses.append(batch_loss)
-        stats.append(EpochStats(epoch=epoch,
-                                mean_batch_loss=float(np.mean(batch_losses)),
-                                wall_time_s=time.perf_counter() - t0))
+    stats = []
+    with image_map(image_workers(cfg.batch_size, shape[1] * shape[2])) as each:
+        for epoch in range(1, cfg.epochs + 1):
+            t0 = time.perf_counter()
+            batch_losses = []
+            for batch, start in enumerate(range(0, len(dataset), cfg.batch_size), 1):
+                idx = order[start:start + cfg.batch_size]
+                preds, caches = zip(*each(lambda i: quiet(
+                    model.forward, params, cfg.encoder, dataset[i].image), idx))
+                _check_finite(epoch, batch, {
+                    f"prediction for {dataset[i].name!r}": probs
+                    for i, probs in zip(idx, preds)})
+                # Both stacks are temporaries, freed before the backward.
+                batch_loss, _, grad_stack = f1_loss_grad(
+                    np.stack(preds),
+                    np.stack([truths[i] for i in idx], dtype=np.float64), cfg.eps)
+
+                grad_total = {name: np.zeros_like(p) for name, p in params.items()}
+                for grads in each(lambda j: quiet(
+                        model.backward, params, cfg.encoder, caches[j],
+                        grad_stack[j])[0], range(len(idx))):
+                    for name, g in grads.items():
+                        grad_total[name] += g
+                # Not held through the next batch's forward. grad_stack
+                # stays: freeing it too let malloc trim the heap top, and
+                # the next forward faulted it back in (5.7x the minor
+                # page faults per 64 px train).
+                del preds, caches
+                for p, v, g in zip(params.values(), velocity.values(),
+                                   grad_total.values()):
+                    v *= cfg.momentum
+                    v -= cfg.learning_rate * g
+                    p += v
+                _check_finite(epoch, batch, {"batch loss": batch_loss, **params})
+                batch_losses.append(batch_loss)
+            stats.append(EpochStats(epoch=epoch,
+                                    mean_batch_loss=float(np.mean(batch_losses)),
+                                    wall_time_s=time.perf_counter() - t0))
     return params, TrainReport(epoch_stats=stats)
 
 

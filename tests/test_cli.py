@@ -7,6 +7,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,12 +39,24 @@ def small_dataset(tmp_path_factory):
     return root
 
 
+TRAIN_FLAGS = ["--epochs", "1", "--batch", "4", "--channels", "4,8", "--seed", "1"]
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory, small_dataset):
     out = tmp_path_factory.mktemp("cli_run")
     code = main(["train", "--data", str(small_dataset / "manifest.json"),
-                 "--out", str(out), "--epochs", "1", "--batch", "4",
-                 "--channels", "4,8", "--seed", "1"])
+                 "--out", str(out), *TRAIN_FLAGS])
+    assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def predicted(tmp_path_factory, small_dataset, trained):
+    out = tmp_path_factory.mktemp("cli_pred")
+    code = main(["predict", "--weights", str(trained / "weights.hfcn"),
+                 "--data", str(small_dataset / "manifest.json"),
+                 "--out", str(out)])
     assert code == 0
     return out
 
@@ -245,22 +258,37 @@ class TestPredict:
         assert not (tmp_path / "pred").exists()
 
     def test_overflowing_weights_exit_1_naming_both(self, capsys, small_dataset,
-                                                    trained, tmp_path):
+                                                    trained, tmp_path, workers):
         # Finite weights load, but the forward overflows to inf - inf = nan.
-        # The suite turns a numpy RuntimeWarning into an error, so a leaked
-        # warning would be the reported failure instead.
+        # Every image fails, and the first is named, as a serial run names
+        # it. numpy warnings are recorded from every thread rather than
+        # raised: a pool thread's would otherwise lose to image 0's error.
         params, encoder = model.load_params(trained / "weights.hfcn")
         for a in params.values():
             a[...] = 1e300
         weights = tmp_path / "w.hfcn"
         model.save_params(params, encoder, weights)
-        code, _, err = run(capsys, "predict", "--weights", str(weights),
-                           "--data", str(small_dataset / "manifest.json"),
-                           "--out", str(tmp_path / "pred"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, "predict", "--weights", str(weights),
+                               "--data", str(small_dataset / "manifest.json"),
+                               "--out", str(tmp_path / "pred"))
         assert code == 1
         assert str(weights) in err and "sample_00000.ppm" in err
+        assert not caught
         assert "RuntimeWarning" not in err and "encountered" not in err
         assert not (tmp_path / "pred").exists()
+
+    def test_worker_count_keeps_output_bytes(self, small_dataset, trained,
+                                             predicted, tmp_path, workers):
+        # The fixtures ran serially: 32 px lies below PARALLEL_MIN_PIXELS.
+        manifest = str(small_dataset / "manifest.json")
+        assert main(["train", "--data", manifest, "--out", str(tmp_path),
+                     *TRAIN_FLAGS]) == 0
+        assert main(["predict", "--weights", str(tmp_path / "weights.hfcn"),
+                     "--data", manifest, "--out", str(tmp_path)]) == 0
+        assert read_tree(tmp_path) == {**read_tree(trained),
+                                       **read_tree(predicted)}
 
 
 class TestEval:

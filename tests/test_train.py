@@ -1,14 +1,17 @@
 """Training loop tests: determinism, null updates, shuffling, descent."""
 
+import os
+import threading
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from dermfeat import data, model
+from dermfeat import train as train_mod
 from dermfeat.data import SynthSpec
 from dermfeat.model import EncoderConfig
-from dermfeat.train import TrainConfig, predict, train
+from dermfeat.train import TrainConfig, image_map, image_workers, predict, train
 
 TINY_ENCODER = EncoderConfig(channels=(4, 8), in_channels=3)
 
@@ -135,17 +138,20 @@ class TestTrain:
         assert report.losses()[-1] < report.losses()[0]
 
     def test_divergence_fails_fast_naming_epoch_batch_and_sample(
-            self, tiny_dataset):
-        # Weights of ~1e300 overflow the second batch's forward pass.
+            self, tiny_dataset, workers):
+        # Weights of ~1e300 overflow the second batch's forward pass. The
+        # suite turns a numpy RuntimeWarning into an error, so a pool
+        # thread without train's errstate fails with that instead.
         cfg = tiny_config(learning_rate=1e300, momentum=0.0)
+        threads = threading.active_count()
         with pytest.raises(
                 FloatingPointError,
                 match=r"epoch 1, batch 2: prediction for 'sample_\d+\.ppm' "
                       r"is not finite"):
             train(tiny_dataset, cfg)
+        assert threading.active_count() == threads  # the pool is shut down
 
     def test_non_finite_batch_loss_fails_fast(self, tiny_dataset, monkeypatch):
-        import dermfeat.train as train_mod
         real_loss = train_mod.f1_loss_grad
         monkeypatch.setattr(train_mod, "f1_loss_grad", lambda p, t, c: (
             float("nan"), *real_loss(p, t, c)[1:]))
@@ -158,7 +164,6 @@ class TestTrain:
         # f1_loss is replaced wherever train or f1_loss_grad looks it up,
         # so every checked and counted pass over a batch is recorded.
         import dermfeat.loss as loss_mod
-        import dermfeat.train as train_mod
         calls = []
         real_loss = loss_mod.f1_loss
 
@@ -193,6 +198,50 @@ class TestTrain:
         _, report = train(tiny_dataset, tiny_config())
         doc = report.to_json_dict()
         assert all("wall_time_s" not in rec for rec in doc["epochs"])
+
+
+class TestImageWorkers:
+    def test_small_images_run_serially(self):
+        assert image_workers(8, train_mod.PARALLEL_MIN_PIXELS - 1) == 1
+
+    def test_large_images_take_one_thread_per_cpu_up_to_the_count(
+            self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+        pixels = train_mod.PARALLEL_MIN_PIXELS
+        assert [image_workers(n, pixels) for n in (1, 2, 3, 8)] == [1, 2, 3, 3]
+
+
+class TestImageMap:
+    def test_results_in_item_order_with_every_nth_item_on_the_caller(self):
+        with image_map(3) as each:
+            out = list(each(lambda x: (x * x, threading.get_ident()), range(7)))
+        assert [v for v, _ in out] == [x * x for x in range(7)]
+        caller = [t == threading.get_ident() for _, t in out]
+        assert caller == [i % 3 == 0 for i in range(7)]
+
+    def test_one_worker_starts_no_thread(self):
+        threads = threading.active_count()
+        with image_map(1) as each:
+            out = list(each(lambda x: (x, threading.active_count()), range(4)))
+        assert out == [(x, threads) for x in range(4)]
+
+    # Item 2's round runs in full, and no later round starts.
+    @pytest.mark.parametrize(("n", "ran"),
+                             [(1, [0, 1]), (2, [0, 1, 3]), (3, [0, 1])])
+    def test_raises_first_failing_item_and_leaves_no_thread(self, n, ran):
+        done = []
+
+        def fn(x):
+            if x in (2, 4):
+                raise ValueError(f"item {x}")
+            done.append(x)
+
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="item 2"):
+            with image_map(n) as each:
+                list(each(fn, range(6)))
+        assert threading.active_count() == threads
+        assert sorted(done) == ran
 
 
 class TestPredict:
