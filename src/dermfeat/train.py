@@ -106,7 +106,10 @@ def image_workers(images: int, pixels: int) -> int:
     PARALLEL_MIN_PIXELS."""
     if pixels < PARALLEL_MIN_PIXELS:
         return 1
-    return min(len(os.sched_getaffinity(0)), images)
+    # sched_getaffinity is Linux-only; elsewhere every CPU counts.
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(cpus, images)
 
 
 @contextlib.contextmanager

@@ -210,6 +210,11 @@ class TestImageWorkers:
         pixels = train_mod.PARALLEL_MIN_PIXELS
         assert [image_workers(n, pixels) for n in (1, 2, 3, 8)] == [1, 2, 3, 3]
 
+    def test_every_cpu_counts_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert image_workers(8, train_mod.PARALLEL_MIN_PIXELS) == 4
+
 
 class TestImageMap:
     def test_results_in_item_order_with_every_nth_item_on_the_caller(self):
