@@ -4,6 +4,11 @@ Flag values override config-file values, which override defaults; every
 subcommand echoes its effective configuration as one JSON line before
 doing any work. Exit codes: 0 success, 1 runtime failure, 2 usage or
 configuration error.
+
+Each command reads only the files it uses: train loads every sample,
+predict reads each image and superpixel map as it predicts that image
+and opens no label file, and eval reads the labels and predictions and
+opens no image or map.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 from . import checks, data, metrics, model
 from .jsonio import by_key, json_table, read_json, write_json
 from .model import EncoderConfig
-from .superpixels import CLASS_NAMES, mask_to_scores
+from .superpixels import CLASS_NAMES, mask_to_scores, read_labels
 from .train import TrainConfig, image_map, image_workers, predict, train
 
 
@@ -192,12 +197,12 @@ def cmd_gen_data(cfg: dict) -> int:
     return 0
 
 
-def _load_dataset(cfg: dict, name: str) -> list[data.Sample]:
-    return data.load(_require_file(_require(cfg, "data", name), "manifest"))
+def _manifest_path(cfg: dict, name: str) -> Path:
+    return _require_file(_require(cfg, "data", name), "manifest")
 
 
 def cmd_train(cfg: dict) -> int:
-    samples = _load_dataset(cfg, "train")
+    samples = data.load(_manifest_path(cfg, "train"))
     out = _out_dir(_require(cfg, "out", "train"))
 
     try:
@@ -222,31 +227,36 @@ def cmd_train(cfg: dict) -> int:
 
 def cmd_predict(cfg: dict) -> int:
     weights_path = _require_file(_require(cfg, "weights", "predict"), "weights file")
-    samples = _load_dataset(cfg, "predict")
+    manifest_path = _manifest_path(cfg, "predict")
+    manifest = data.read_manifest(manifest_path)
     out = _out_dir(_require(cfg, "out", "predict"))
 
     params, encoder = model.load_params(weights_path)
-    for s in samples:
-        try:
-            encoder.check_image(s.image)
-        except ValueError as exc:
-            raise ValueError(f"image {s.name!r} does not fit weights "
-                             f"{weights_path}: {exc}") from None
 
-    def entry(s: data.Sample) -> dict:
+    def entry(sample: data.ManifestEntry) -> dict:
+        # Each image is read here, so only a round of them is ever held.
+        image, smap = data.read_sample(manifest_path.parent, sample,
+                                       manifest.image_size)
+        try:
+            encoder.check_image(image)
+        except ValueError as exc:
+            raise ValueError(f"image {sample.image!r} does not fit weights "
+                             f"{weights_path}: {exc}") from None
         # Finite but huge weights overflow inside the ops; the check below
         # names the image and weights instead of numpy's warnings. A pool
         # thread does not inherit errstate, so each call enters it.
         with np.errstate(over="ignore", invalid="ignore"):
-            probs = predict(params, encoder, s.image)
+            probs = predict(params, encoder, image)
         if not np.isfinite(probs).all():
             raise ValueError(f"weights {weights_path} give non-finite "
-                             f"probabilities for image {s.name!r}")
-        return {"image": s.name, "scores": mask_to_scores(s.smap, probs).tolist()}
+                             f"probabilities for image {sample.image!r}")
+        return {"image": sample.image,
+                "scores": mask_to_scores(smap, probs).tolist()}
 
-    pixels = max(s.image.shape[1] * s.image.shape[2] for s in samples)
-    with image_map(image_workers(len(samples), pixels)) as each:
-        entries = list(each(entry, samples))
+    # read_sample holds every image to the manifest's square extent.
+    workers = image_workers(len(manifest.samples), manifest.image_size ** 2)
+    with image_map(workers) as each:
+        entries = list(each(entry, manifest.samples))
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "predictions.json", entries)
     print(f"wrote scores for {len(entries)} images to {out / 'predictions.json'}")
@@ -261,21 +271,25 @@ def _parse_predictions(entries: list) -> dict[str, np.ndarray]:
 
 def cmd_eval(cfg: dict) -> int:
     pred_path = _require_file(_require(cfg, "pred", "eval"), "predictions file")
-    samples = _load_dataset(cfg, "eval")
+    manifest_path = _manifest_path(cfg, "eval")
+    manifest = data.read_manifest(manifest_path)
     out = _out_dir(_require(cfg, "out", "eval"))
 
+    # Only the labels: eval opens no image or superpixel map.
+    names = [s.image for s in manifest.samples]
+    labels = [read_labels(manifest_path.parent / s.labels)
+              for s in manifest.samples]
     by_image = read_json(pred_path, "predictions", _parse_predictions)
-    listed = {s.name for s in samples}
+    listed = set(names)
     for name in by_image:
         if name not in listed:
             raise RuntimeError(f"{pred_path}: prediction for image '{name}' "
                                f"is not in manifest {cfg['data']}")
-    for s in samples:
-        if s.name not in by_image:
-            raise RuntimeError(f"{pred_path}: prediction missing for image {s.name}")
-    result = metrics.evaluate([by_image[s.name] for s in samples],
-                              [s.labels for s in samples],
-                              sample_ids=[s.name for s in samples])
+    for name in names:
+        if name not in by_image:
+            raise RuntimeError(f"{pred_path}: prediction missing for image {name}")
+    result = metrics.evaluate([by_image[name] for name in names], labels,
+                              sample_ids=names)
 
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "eval_report.json", result.to_json_dict())

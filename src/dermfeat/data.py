@@ -10,6 +10,11 @@ half of its pixels lie inside a region carrying that class.
 
 Generation is fully deterministic: sample i draws from a generator seeded
 with (seed, i), so serial and parallel generation agree.
+
+A manifest entry is read in two parts: `read_sample` reads its image and
+superpixel map and checks their extents, and `read_labels` its labels.
+`load` builds train's in-memory dataset from both; predict reads one
+sample's image and map at a time, and eval only the labels.
 """
 
 from __future__ import annotations
@@ -256,24 +261,36 @@ class Sample:
     labels: np.ndarray  # [K,4] binary
 
 
+def read_sample(base: Path, entry: ManifestEntry,
+                image_size: int) -> tuple[np.ndarray, SuperpixelMap]:
+    """One manifest entry's image, as [3,H,W] float64 in [0,1], and its
+    superpixel map, with paths relative to `base`. Checks that the image
+    is image_size x image_size and that the map has its extents; the
+    labels are read on their own (`read_labels`)."""
+    # A missing file is the FileNotFoundError of its open, naming it.
+    rgb = netpbm.read_ppm8(base / entry.image)
+    if rgb.shape[:2] != (image_size, image_size):
+        raise ValueError(f"{entry.image}: image is {rgb.shape[1]}x{rgb.shape[0]}, "
+                         f"manifest says {image_size}")
+    smap = read_superpixel_map(base / entry.superpixels)
+    if (smap.height, smap.width) != rgb.shape[:2]:
+        raise ValueError(f"{entry.image}: superpixel map is "
+                         f"{smap.width}x{smap.height}, image is "
+                         f"{rgb.shape[1]}x{rgb.shape[0]}")
+    image = rgb.transpose(2, 0, 1).astype(np.float64, order="C")
+    image /= 255.0
+    return image, smap
+
+
 def load(manifest_path: str | os.PathLike) -> list[Sample]:
-    """Load every sample of a manifest, validating cross-file invariants."""
+    """Load every sample of a manifest: its image and map through
+    read_sample, and labels with as many rows as the map has superpixels."""
     manifest = read_manifest(manifest_path)
     base = Path(manifest_path).parent
     samples = []
     for entry in manifest.samples:
-        # A missing file is the FileNotFoundError of its open, naming it.
-        rgb = netpbm.read_ppm8(base / entry.image)
-        image = np.ascontiguousarray(rgb.transpose(2, 0, 1)).astype(np.float64) / 255.0
-        smap = read_superpixel_map(base / entry.superpixels)
+        image, smap = read_sample(base, entry, manifest.image_size)
         labels = read_labels(base / entry.labels)
-        if rgb.shape[:2] != (manifest.image_size, manifest.image_size):
-            raise ValueError(f"{entry.image}: image is {rgb.shape[1]}x{rgb.shape[0]}, "
-                             f"manifest says {manifest.image_size}")
-        if (smap.height, smap.width) != rgb.shape[:2]:
-            raise ValueError(f"{entry.image}: superpixel map is "
-                             f"{smap.width}x{smap.height}, image is "
-                             f"{rgb.shape[1]}x{rgb.shape[0]}")
         if labels.shape[0] != smap.count:
             raise ValueError(f"{entry.image}: {labels.shape[0]} label rows but "
                              f"{smap.count} superpixels")

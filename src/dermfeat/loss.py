@@ -67,12 +67,20 @@ def f1_loss_grad(pred: np.ndarray, truth: np.ndarray, eps: float = 1.0
     so dD_c/dp_j = 1), the per-class score derivative is
     d(2tp/D)/dp_j = 2*t_j/D - 2*tp/D^2; the loss scales it by -1/C for C
     class channels. The counts come from one f1_loss call.
+
+    f1_loss has checked that truth is binary, so each class's gradient
+    takes one of two values, formed per class as -(t*lin - const)/C at
+    t = 1 and t = 0 and then selected per pixel: the bytes of the
+    expression evaluated pixel by pixel, -0.0 included.
     """
     loss, bd = f1_loss(pred, truth, eps)
     truth = as_f64(truth)
+    classes = bd.tp.size
     denom = 2.0 * bd.tp + bd.fp + bd.fn + eps
+    lin = 2.0 / denom
+    const = 2.0 * bd.tp / denom ** 2
     shape = [1] * truth.ndim
-    shape[truth.ndim - 3] = bd.tp.size
-    lin = (2.0 / denom).reshape(shape)
-    const = (2.0 * bd.tp / denom ** 2).reshape(shape)
-    return loss, bd, -(truth * lin - const) / bd.tp.size
+    shape[truth.ndim - 3] = classes
+    on = (-(1.0 * lin - const) / classes).reshape(shape)
+    off = (-(0.0 * lin - const) / classes).reshape(shape)
+    return loss, bd, np.where(truth == 1.0, on, off)

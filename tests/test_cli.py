@@ -7,6 +7,8 @@ import shlex
 import shutil
 import subprocess
 import sys
+import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import dermfeat
 from dermfeat import cli, model
 from dermfeat.cli import _OPTIONS, main
 from dermfeat.jsonio import write_json
+from dermfeat.superpixels import grid_superpixels, write_superpixel_map
 from faults import fill_disk
 
 
@@ -291,6 +294,46 @@ class TestPredict:
                                        **read_tree(predicted)}
 
 
+    def test_reads_no_label_file(self, small_dataset, trained, predicted,
+                                 tmp_path, workers):
+        root = tmp_path / "ds"
+        shutil.copytree(small_dataset, root)
+        for labels in root.glob("*_labels.json"):
+            labels.unlink()
+        assert main(["predict", "--weights", str(trained / "weights.hfcn"),
+                     "--data", str(root / "manifest.json"),
+                     "--out", str(tmp_path / "run")]) == 0
+        assert read_tree(tmp_path / "run") == read_tree(predicted)
+
+    def test_memory_does_not_grow_with_the_image_count(self, capsys, trained,
+                                                       tmp_path):
+        # Images are read one at a time, so 12 more 64 px images add only
+        # their score tables (measured: ~0.11 MB in all). Holding their
+        # pixels as float64 (98,304 bytes each) added 1.7 MB.
+        root = tmp_path / "ds"
+        assert main(["gen-data", "--out", str(root), "--count", "16",
+                     "--size", "64", "--cell", "8", "--seed", "4"]) == 0
+        doc = json.loads((root / "manifest.json").read_text())
+        (root / "few.json").write_text(
+            json.dumps({**doc, "samples": doc["samples"][:4]}))
+
+        def peak(manifest):
+            tracemalloc.start()
+            try:
+                code, _, _ = run(capsys, "predict", "--weights",
+                                 str(trained / "weights.hfcn"), "--data",
+                                 str(root / manifest), "--out",
+                                 str(tmp_path / "run"))
+                traced = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            return traced
+
+        growth = peak("manifest.json") - peak("few.json")
+        assert growth < 4 * 3 * 64 * 64 * 8
+
+
 class TestEval:
     @pytest.fixture()
     def predictions(self, small_dataset, trained, tmp_path):
@@ -338,6 +381,20 @@ class TestEval:
                            "--out", str(tmp_path))
         assert code == 1
         assert dropped in err and str(predictions) in err
+
+    def test_reads_no_image_or_superpixel_map(self, small_dataset,
+                                              predictions, tmp_path):
+        assert main(["eval", "--pred", str(predictions), "--data",
+                     str(small_dataset / "manifest.json"),
+                     "--out", str(tmp_path / "full")]) == 0
+        root = tmp_path / "ds"
+        shutil.copytree(small_dataset, root)
+        for raster in [*root.glob("*.ppm"), *root.glob("*.pgm")]:
+            raster.unlink()
+        assert main(["eval", "--pred", str(predictions), "--data",
+                     str(root / "manifest.json"),
+                     "--out", str(tmp_path / "run")]) == 0
+        assert read_tree(tmp_path / "run") == read_tree(tmp_path / "full")
 
     def test_undefined_class_prints_na(self, capsys, tmp_path):
         from dermfeat import data as data_mod
@@ -748,6 +805,39 @@ def test_prediction_for_unlisted_image_exits_1(capsys, small_dataset, tmp_path):
                    f"'{entries[3]['image']}' is not in manifest "
                    f"{root / 'manifest.json'}\n")
     assert not (tmp_path / "run").exists()
+
+
+def _wrong_size_map(path):
+    write_superpixel_map(grid_superpixels(16, 16, 8), path)
+
+
+@pytest.mark.parametrize("target, fault, message", [
+    ("sample_00005.ppm", Path.unlink, "No such file or directory"),
+    ("sample_00005.ppm", lambda p: p.write_bytes(p.read_bytes()[:-7]),
+     "truncated raster"),
+    ("sample_00005_superpixels.pgm", _wrong_size_map,
+     "sample_00005.ppm: superpixel map is 16x16, image is 32x32"),
+], ids=["image-missing", "image-truncated", "map-wrong-size"])
+def test_predict_failure_partway_exits_1_naming_it(
+        capsys, small_dataset, trained, tmp_path, workers, target, fault,
+        message):
+    # Images are read as they are predicted, so samples 0-4 have run when
+    # sample 5 fails. Sample 7 is broken too: the first failure in
+    # manifest order is the one raised, at any thread count.
+    root = tmp_path / "ds"
+    shutil.copytree(small_dataset, root)
+    fault(root / target)
+    (root / "sample_00007.ppm").unlink()
+    threads = threading.active_count()
+    code, _, err = run(capsys, "predict", "--weights",
+                       str(trained / "weights.hfcn"), "--data",
+                       str(root / "manifest.json"),
+                       "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert message in err and "sample_00005" in err
+    assert "sample_00007" not in err
+    assert not (tmp_path / "run").exists()
+    assert threading.active_count() == threads  # the pool is shut down
 
 
 def _pipeline_inputs(name, small_dataset, trained):

@@ -179,6 +179,37 @@ class TestF1Grad:
                               got, want):
             assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), name
 
+    def test_selected_gradient_bytes_match_pixelwise_expression(self):
+        # The oracle evaluates -(t*lin - const)/C at every pixel. A class
+        # with no true positive (no positive pixel, or zero prediction on
+        # each) has const = 0, where t = 0 gives -(0.0 - 0.0)/C = -0.0;
+        # const/C would give +0.0, so the cases must reach such zeros.
+        rng = np.random.default_rng(62)
+        negative_zeros = 0
+        for _ in range(300):
+            channels = int(rng.integers(1, 6))
+            extent = tuple(int(n) for n in rng.integers(1, 6, 2))
+            batched = rng.random() < 0.5
+            shape = ((int(rng.integers(1, 4)),) if batched else ()) + (
+                channels, *extent)
+            pred = rng.random(shape)
+            truth = (rng.random(shape) < rng.random()).astype(np.float64)
+            for c in range(channels):
+                cls = (slice(None),) * batched + (c,)
+                kind = rng.integers(4)
+                if kind == 1:
+                    truth[cls] = 0.0
+                elif kind == 2:
+                    pred[cls] = 0.0
+                elif kind == 3:
+                    truth[cls] = 1.0
+            eps = float(rng.uniform(0.1, 2.0))
+            _, _, grad = f1_loss_grad(pred, truth, eps)
+            want = f1_two_pass_oracle(pred, truth, eps)[-1]
+            assert grad.tobytes() == want.tobytes()
+            negative_zeros += np.signbit(grad[grad == 0.0]).sum()
+        assert negative_zeros > 0
+
     def test_all_negative_truth_gradient_sign(self):
         # With truth 0 everywhere in class c, d(loss)/d(pred_j) = tp/(2 D^2) >= 0.
         rng = np.random.default_rng(36)
