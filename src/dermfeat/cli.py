@@ -25,7 +25,7 @@ from . import checks, data, metrics, model
 from .jsonio import by_key, json_table, read_json, write_json
 from .model import EncoderConfig
 from .superpixels import CLASS_NAMES, mask_to_scores, read_labels
-from .train import TrainConfig, image_map, image_workers, predict, train
+from .train import TrainConfig, image_map, predict, train
 
 
 class ConfigError(Exception):
@@ -202,19 +202,19 @@ def _manifest_path(cfg: dict, name: str) -> Path:
 
 
 def cmd_train(cfg: dict) -> int:
-    samples = data.load(_manifest_path(cfg, "train"))
+    manifest_path = _manifest_path(cfg, "train")
     out = _out_dir(_require(cfg, "out", "train"))
 
     try:
-        encoder = EncoderConfig(channels=cfg["channels"],
-                                in_channels=samples[0].image.shape[0])
+        # data.load reads every image as 3 channels, EncoderConfig's default.
+        encoder = EncoderConfig(channels=cfg["channels"])
         tcfg = TrainConfig(batch_size=cfg["batch"], epochs=cfg["epochs"],
                            learning_rate=cfg["lr"], momentum=cfg["momentum"],
                            seed=cfg["seed"], eps=cfg["eps"], encoder=encoder)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
-    params, report = train(samples, tcfg)
+    params, report = train(data.load(manifest_path), tcfg)
     out.mkdir(parents=True, exist_ok=True)
     model.save_params(params, encoder, out / "weights.hfcn")
     write_json(out / "train_report.json", report.to_json_dict())
@@ -228,8 +228,8 @@ def cmd_train(cfg: dict) -> int:
 def cmd_predict(cfg: dict) -> int:
     weights_path = _require_file(_require(cfg, "weights", "predict"), "weights file")
     manifest_path = _manifest_path(cfg, "predict")
-    manifest = data.read_manifest(manifest_path)
     out = _out_dir(_require(cfg, "out", "predict"))
+    manifest = data.read_manifest(manifest_path)
 
     params, encoder = model.load_params(weights_path)
 
@@ -242,11 +242,7 @@ def cmd_predict(cfg: dict) -> int:
         except ValueError as exc:
             raise ValueError(f"image {sample.image!r} does not fit weights "
                              f"{weights_path}: {exc}") from None
-        # Finite but huge weights overflow inside the ops; the check below
-        # names the image and weights instead of numpy's warnings. A pool
-        # thread does not inherit errstate, so each call enters it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            probs = predict(params, encoder, image)
+        probs = predict(params, encoder, image)
         if not np.isfinite(probs).all():
             raise ValueError(f"weights {weights_path} give non-finite "
                              f"probabilities for image {sample.image!r}")
@@ -254,8 +250,10 @@ def cmd_predict(cfg: dict) -> int:
                 "scores": mask_to_scores(smap, probs).tolist()}
 
     # read_sample holds every image to the manifest's square extent.
-    workers = image_workers(len(manifest.samples), manifest.image_size ** 2)
-    with image_map(workers) as each:
+    # Finite but huge weights overflow inside the ops; the check in entry
+    # names the image and weights instead of numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"), \
+            image_map(manifest.image_size ** 2) as each:
         entries = list(each(entry, manifest.samples))
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "predictions.json", entries)
@@ -272,8 +270,8 @@ def _parse_predictions(entries: list) -> dict[str, np.ndarray]:
 def cmd_eval(cfg: dict) -> int:
     pred_path = _require_file(_require(cfg, "pred", "eval"), "predictions file")
     manifest_path = _manifest_path(cfg, "eval")
-    manifest = data.read_manifest(manifest_path)
     out = _out_dir(_require(cfg, "out", "eval"))
+    manifest = data.read_manifest(manifest_path)
 
     # Only the labels: eval opens no image or superpixel map.
     names = [s.image for s in manifest.samples]

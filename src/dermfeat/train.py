@@ -7,12 +7,12 @@ fuzzy counts pooled over all of its pixels per class, and parameters
 follow stochastic gradient descent with classical momentum.
 
 Only the loss couples a batch's images, so each image's forward, and its
-backward once the loss gradient is known, is independent work. Images of
-at least PARALLEL_MIN_PIXELS pixels run on threads (numpy releases the
-interpreter lock inside BLAS), one per CPU in the process's affinity;
-smaller ones run on the calling thread alone. The gradients are summed in
-image order either way, so a fixed seed gives the same bytes on any
-number of threads.
+backward once the loss gradient is known, is independent work. image_map,
+the one owner of image threads, runs images of at least
+PARALLEL_MIN_PIXELS pixels on threads (numpy releases the interpreter
+lock inside BLAS), one per CPU in the process's affinity, and smaller
+ones on the calling thread alone. The gradients are summed in image order
+either way, so a fixed seed gives the same bytes on any number of threads.
 """
 
 from __future__ import annotations
@@ -100,41 +100,46 @@ def _check_finite(epoch: int, batch: int, tensors: dict) -> None:
                                      f"batch {batch}: {name} is not finite")
 
 
-def image_workers(images: int, pixels: int) -> int:
-    """Threads for `images` images of `pixels` pixels each: the number of
-    CPUs the process may run on, capped by the image count; 1 below
-    PARALLEL_MIN_PIXELS."""
-    if pixels < PARALLEL_MIN_PIXELS:
-        return 1
-    # sched_getaffinity is Linux-only; elsewhere every CPU counts.
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return min(cpus, images)
-
-
 @contextlib.contextmanager
-def image_map(workers: int):
+def image_map(pixels: int):
     """Yields map(fn, items), which yields fn(item) for each item of the
-    sequence `items`, in order.
+    sequence `items` of images of `pixels` pixels each, in order.
 
-    The items run in rounds of `workers`: the calling thread runs each
-    round's first item and pool threads the rest, so one worker starts no
-    thread. A round's results are yielded once all of it is done, and the
-    next round starts when the caller asks for its first result, so a
-    caller that folds each result in holds one round's results at a time.
-    The first failure in item order is raised, as a serial loop would
-    raise it, and no later round starts. The pool is shut down when the
-    context exits, however it exits. numpy's errstate is not inherited by
-    a pool thread: fn enters its own.
+    Images of at least PARALLEL_MIN_PIXELS run in rounds of one item per
+    CPU the process may run on; smaller ones run on the calling thread
+    alone. The calling thread runs each round's first item and pool
+    threads the rest; a pool thread starts only when an item finds none
+    idle, so a round of n items starts at most n - 1. A round's results
+    are yielded once all of it is done, and the next round starts when
+    the caller asks for its first result, so a caller that folds each
+    result in holds one round's results at a time. Every item runs under
+    numpy's error state as the caller had it when it asked for the first
+    result. The first failure in item order is raised, as a serial loop
+    would raise it, and no later round starts. The pool is shut down when
+    the context exits, however it exits.
     """
+    if pixels < PARALLEL_MIN_PIXELS:
+        workers = 1
+    else:
+        # sched_getaffinity is Linux-only; elsewhere every CPU counts.
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     pool = ThreadPoolExecutor(workers - 1) if workers > 1 else None
 
     def map_items(fn, items):
+        state = np.geterr()
+
+        def run(item):
+            # A fresh errstate per call: numpy 1.x keeps the state it
+            # replaced on the instance, so one is not safe across threads.
+            with np.errstate(**state):
+                return fn(item)
+
         for start in range(0, len(items), workers):
             first, *rest = items[start:start + workers]
-            futures = [pool.submit(fn, item) for item in rest]
+            futures = [pool.submit(run, item) for item in rest]
             try:
-                result = fn(first)
+                result = run(first)
             finally:
                 wait(futures)
             yield result
@@ -178,20 +183,15 @@ def train(dataset: Sequence[Sample],
     # stable: a zero learning-rate run then reports the same loss each epoch.
     order = np.random.default_rng(cfg.seed).permutation(len(dataset))
 
-    def quiet(fn, *args):
-        # train's errstate, entered again on whichever thread runs fn.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return fn(*args)
-
     stats = []
-    with image_map(image_workers(cfg.batch_size, shape[1] * shape[2])) as each:
+    with image_map(shape[1] * shape[2]) as each:
         for epoch in range(1, cfg.epochs + 1):
             t0 = time.perf_counter()
             batch_losses = []
             for batch, start in enumerate(range(0, len(dataset), cfg.batch_size), 1):
                 idx = order[start:start + cfg.batch_size]
-                preds, caches = zip(*each(lambda i: quiet(
-                    model.forward, params, cfg.encoder, dataset[i].image), idx))
+                preds, caches = zip(*each(lambda i: model.forward(
+                    params, cfg.encoder, dataset[i].image), idx))
                 _check_finite(epoch, batch, {
                     f"prediction for {dataset[i].name!r}": probs
                     for i, probs in zip(idx, preds)})
@@ -201,9 +201,9 @@ def train(dataset: Sequence[Sample],
                     np.stack([truths[i] for i in idx], dtype=np.float64), cfg.eps)
 
                 grad_total = {name: np.zeros_like(p) for name, p in params.items()}
-                for grads in each(lambda j: quiet(
-                        model.backward, params, cfg.encoder, caches[j],
-                        grad_stack[j])[0], range(len(idx))):
+                for grads in each(lambda j: model.backward(
+                        params, cfg.encoder, caches[j], grad_stack[j])[0],
+                        range(len(idx))):
                     for name, g in grads.items():
                         grad_total[name] += g
                 # Not held through the next batch's forward. grad_stack

@@ -619,13 +619,16 @@ def test_non_finite_flag_is_a_usage_error(capsys, argv):
     assert argv[1] in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags, message", [
+bad_train_values = pytest.mark.parametrize("flags, message", [
     (["--channels", "0,4"], "channels"),
     (["--batch", "0"], "batch_size"),
     (["--eps", "-1"], "eps"),
     (["--eps", "0"], "eps"),
     (["--seed", "-1"], "seed must be >= 0, got -1"),
 ], ids=["channels-0-4", "batch-0", "eps-minus-1", "eps-0", "seed-minus-1"])
+
+
+@bad_train_values
 def test_bad_train_value_exits_2(capsys, small_dataset, tmp_path, flags,
                                  message):
     code, _, err = run(capsys, "train", "--data",
@@ -633,6 +636,26 @@ def test_bad_train_value_exits_2(capsys, small_dataset, tmp_path, flags,
                        "--out", str(tmp_path / "run"), *flags)
     assert code == 2
     assert message in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.fixture(scope="module")
+def broken_dataset(tmp_path_factory, small_dataset):
+    """small_dataset without sample 3's image: loading it fails."""
+    root = tmp_path_factory.mktemp("cli_broken") / "ds"
+    shutil.copytree(small_dataset, root)
+    (root / "sample_00003.ppm").unlink()
+    return root
+
+
+@bad_train_values
+def test_bad_train_value_exits_2_before_loading(capsys, broken_dataset,
+                                                tmp_path, flags, message):
+    code, _, err = run(capsys, "train", "--data",
+                       str(broken_dataset / "manifest.json"),
+                       "--out", str(tmp_path / "run"), *flags)
+    assert code == 2
+    assert message in err and "sample_00003" not in err
     assert not (tmp_path / "run").exists()
 
 
@@ -886,3 +909,27 @@ def test_out_naming_a_file_exits_2_before_any_work(
                    f"directory\n")
     assert len(stdout.splitlines()) == 1  # the config echo, then nothing
     assert taken.read_bytes() == b"keep"
+
+
+@pytest.mark.parametrize("name, broken", [
+    ("train", "sample_00003.ppm"), ("train", "manifest.json"),
+    ("predict", "manifest.json"), ("eval", "manifest.json")],
+    ids=["train-image", "train-manifest", "predict-manifest", "eval-manifest"])
+def test_out_under_a_file_exits_2_before_reading_any_input(
+        capsys, small_dataset, trained, tmp_path, name, broken):
+    # The --out check comes first, so a broken input does not hide it.
+    root = tmp_path / "ds"
+    shutil.copytree(small_dataset, root)
+    if broken == "manifest.json":
+        _truncate(root / broken)
+    else:
+        (root / broken).unlink()
+    argv = _pipeline_inputs(name, small_dataset, trained)
+    argv[argv.index("--data") + 1] = str(root / "manifest.json")
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"keep")
+    code, stdout, err = run(capsys, name, *argv, "--out", str(taken / "run"))
+    assert code == 2
+    assert err == (f"error: output directory {taken / 'run'}: {taken} is not "
+                   f"a directory\n")
+    assert len(stdout.splitlines()) == 1  # the config echo, then nothing

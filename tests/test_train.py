@@ -2,6 +2,7 @@
 
 import os
 import threading
+import warnings
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from dermfeat import data, model
 from dermfeat import train as train_mod
 from dermfeat.data import SynthSpec
 from dermfeat.model import EncoderConfig
-from dermfeat.train import TrainConfig, image_map, image_workers, predict, train
+from dermfeat.train import TrainConfig, image_map, predict, train
 
 TINY_ENCODER = EncoderConfig(channels=(4, 8), in_channels=3)
 
@@ -200,40 +201,79 @@ class TestTrain:
         assert all("wall_time_s" not in rec for rec in doc["epochs"])
 
 
-class TestImageWorkers:
-    def test_small_images_run_serially(self):
-        assert image_workers(8, train_mod.PARALLEL_MIN_PIXELS - 1) == 1
+@pytest.fixture()
+def cpus(monkeypatch):
+    """Sets the CPU affinity that image_map reads to n CPUs."""
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    return set_cpus
 
-    def test_large_images_take_one_thread_per_cpu_up_to_the_count(
-            self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+
+def started_threads(pixels, items, round_size):
+    """Threads alive beyond the caller's once image_map(pixels) has run
+    `items` items, counted before the pool shuts down. Each item waits
+    until `round_size` items run at once, so a thread that finished its
+    item cannot take the next one, as it could with a quick fn."""
+    barrier = threading.Barrier(round_size, timeout=10)
+    threads = threading.active_count()
+    with image_map(pixels) as each:
+        list(each(lambda x: barrier.wait(), range(items)))
+        return threading.active_count() - threads
+
+
+class TestImageWorkers:
+    """The threads image_map runs, counted while they are alive."""
+
+    def test_small_images_run_serially(self, cpus):
+        cpus(3)
+        threads = threading.active_count()
+        with image_map(train_mod.PARALLEL_MIN_PIXELS - 1) as each:
+            ran_on = list(each(lambda x: threading.get_ident(), range(8)))
+            assert threading.active_count() == threads
+        assert ran_on == [threading.get_ident()] * 8
+
+    def test_large_images_take_one_thread_per_cpu_up_to_the_count(self, cpus):
+        cpus(3)
         pixels = train_mod.PARALLEL_MIN_PIXELS
-        assert [image_workers(n, pixels) for n in (1, 2, 3, 8)] == [1, 2, 3, 3]
+        assert [started_threads(pixels, n, min(3, n))
+                for n in (1, 2, 3, 6)] == [0, 1, 2, 2]
 
     def test_every_cpu_counts_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert image_workers(8, train_mod.PARALLEL_MIN_PIXELS) == 4
+        assert started_threads(train_mod.PARALLEL_MIN_PIXELS, 8, 4) == 3
+
+
+def overflow_off_the_caller(caller):
+    """fn whose items overflow a float64 product on pool threads only."""
+    def fn(x):
+        value = np.full(2, 1e300 if threading.get_ident() != caller else 1.0)
+        return value * value
+    return fn
 
 
 class TestImageMap:
-    def test_results_in_item_order_with_every_nth_item_on_the_caller(self):
-        with image_map(3) as each:
+    def test_results_in_item_order_with_every_nth_item_on_the_caller(
+            self, cpus):
+        cpus(3)
+        with image_map(train_mod.PARALLEL_MIN_PIXELS) as each:
             out = list(each(lambda x: (x * x, threading.get_ident()), range(7)))
         assert [v for v, _ in out] == [x * x for x in range(7)]
         caller = [t == threading.get_ident() for _, t in out]
         assert caller == [i % 3 == 0 for i in range(7)]
 
-    def test_one_worker_starts_no_thread(self):
+    def test_one_worker_starts_no_thread(self, cpus):
+        cpus(1)
         threads = threading.active_count()
-        with image_map(1) as each:
+        with image_map(train_mod.PARALLEL_MIN_PIXELS) as each:
             out = list(each(lambda x: (x, threading.active_count()), range(4)))
         assert out == [(x, threads) for x in range(4)]
 
     # Item 2's round runs in full, and no later round starts.
     @pytest.mark.parametrize(("n", "ran"),
                              [(1, [0, 1]), (2, [0, 1, 3]), (3, [0, 1])])
-    def test_raises_first_failing_item_and_leaves_no_thread(self, n, ran):
+    def test_raises_first_failing_item_and_leaves_no_thread(self, cpus, n,
+                                                             ran):
         done = []
 
         def fn(x):
@@ -241,12 +281,36 @@ class TestImageMap:
                 raise ValueError(f"item {x}")
             done.append(x)
 
+        cpus(n)
         threads = threading.active_count()
         with pytest.raises(ValueError, match="item 2"):
-            with image_map(n) as each:
+            with image_map(train_mod.PARALLEL_MIN_PIXELS) as each:
                 list(each(fn, range(6)))
         assert threading.active_count() == threads
         assert sorted(done) == ran
+
+    # A new thread starts under numpy's default error state, where an
+    # overflow warns: with warnings as errors, a pool thread that did not
+    # take the caller's state would fail both tests with a RuntimeWarning.
+    def test_pool_threads_keep_an_ignoring_error_state(self, cpus):
+        cpus(3)
+        fn = overflow_off_the_caller(threading.get_ident())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"), \
+                    image_map(train_mod.PARALLEL_MIN_PIXELS) as each:
+                out = list(each(fn, range(3)))
+        assert [np.isinf(v).all() for v in out] == [False, True, True]
+
+    def test_pool_threads_keep_a_raising_error_state(self, cpus):
+        cpus(3)
+        fn = overflow_off_the_caller(threading.get_ident())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="overflow"):
+                with np.errstate(over="raise"), \
+                        image_map(train_mod.PARALLEL_MIN_PIXELS) as each:
+                    list(each(fn, range(3)))
 
 
 class TestPredict:
