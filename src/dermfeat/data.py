@@ -206,7 +206,7 @@ def _parse_manifest(doc: dict) -> DatasetManifest:
                 ("image", "superpixels", "labels")} for s in doc["samples"]]
     # Predictions are keyed by image, so an image listed twice is an error.
     samples = [ManifestEntry(**e) for e in by_key(entries, "image").values()]
-    return DatasetManifest(split=doc["split"],
+    return DatasetManifest(split=json_field(doc, "split", str),
                            image_size=json_field(doc, "image_size", int),
                            seed=json_field(doc, "seed", int), samples=samples)
 

@@ -32,11 +32,13 @@ is zero-padded once and flattened to [C_in, N] with padded row length
 Wp. Computing every output row at the full width Wp makes each kernel
 tap read one contiguous column range. The forward copies the kh*kw
 ranges into one [kh*kw*C_in, out_h*Wp] column block (im2col) and forms
-one [C_out, kh*kw*C_in] matmul with it. The backward forms no column
-block: it keeps two matmuls per tap (conv2d_backward says why). The kw-1
-columns per row whose windows wrap into the next row are dropped from
-the forward's result, a view of the product, and held at zero in the
-backward pass's output gradient.
+one [C_out, kh*kw*C_in] matmul with it. The backward builds the same
+block a row band at a time, each band of bounded size as in MEC's
+memory-bounded lowering (Cho & Brand, arXiv:1706.06873), and forms two
+matmuls per band (conv2d_backward says how). The kw-1 columns per row
+whose windows wrap into the next row are dropped from the forward's
+result, a view of the product, and held at zero in the backward pass's
+output gradient.
 """
 
 from __future__ import annotations
@@ -73,6 +75,20 @@ def _padded_flat(x: np.ndarray, padding: int) -> tuple[np.ndarray, int]:
     return xp.reshape(c, -1), w + 2 * p
 
 
+def _columns(flat: np.ndarray, wp: int, start: int,
+             cols: np.ndarray) -> np.ndarray:
+    """Fill cols [kh,kw,C_in,n] with the im2col block of the n output flat
+    columns from `start` on: tap (ki, kj)'s C_in rows are copied from
+    flat[:, start+ki*Wp+kj:][:, :n]. Returns it as [kh*kw*C_in, n], rows
+    in (ki, kj, c) order."""
+    kh, kw, _, n = cols.shape
+    for ki in range(kh):
+        for kj in range(kw):
+            s = start + ki * wp + kj
+            cols[ki, kj] = flat[:, s:s + n]
+    return cols.reshape(-1, n)
+
+
 def conv2d(x: np.ndarray, weights: np.ndarray, padding: int) -> np.ndarray:
     """Bias-free 2D cross-correlation of x [C_in,H,W] with weights
     [C_out,C_in,kh,kw] at every offset, after zero-padding x by `padding`
@@ -80,12 +96,11 @@ def conv2d(x: np.ndarray, weights: np.ndarray, padding: int) -> np.ndarray:
 
     Each output element is the sum over the C_in x kh x kw window of
     elementwise products. Output pixel (i, j) of tap (ki, kj) reads flat
-    column (i+ki)*Wp + j+kj of the padded input, so the tap's C_in rows
-    of a [kh*kw*C_in, out_h*Wp] column block are copied from
-    flat[:, ki*Wp+kj:][:, :out_h*Wp], taps in row-major order. The output
-    is one product of the weights, as a [C_out, kh*kw*C_in] matrix in the
-    same (ki, kj, c) order, with that block; each output is then one
-    BLAS sum over kh*kw*C_in terms. The last kw-1 columns per row hold
+    column (i+ki)*Wp + j+kj of the padded input, so one [kh*kw*C_in,
+    out_h*Wp] column block of the whole output holds every window. The
+    output is one product of the weights, as a [C_out, kh*kw*C_in] matrix
+    in the block's (ki, kj, c) order, with that block; each output is then
+    one BLAS sum over kh*kw*C_in terms. The last kw-1 columns per row hold
     wrapped windows and are dropped. The result is that crop, a view of
     the product: it is C-contiguous only when kw == 1.
     """
@@ -94,13 +109,19 @@ def conv2d(x: np.ndarray, weights: np.ndarray, padding: int) -> np.ndarray:
     flat, wp = _padded_flat(x, padding)
     n = out_h * wp
     c_out, c_in, kh, kw = weights.shape
-    cols = np.empty((kh, kw, c_in, n))
-    for ki in range(kh):
-        for kj in range(kw):
-            cols[ki, kj] = flat[:, ki * wp + kj:ki * wp + kj + n]
     w = weights.transpose(0, 2, 3, 1).reshape(c_out, -1)
-    out = w @ cols.reshape(-1, n)
+    out = w @ _columns(flat, wp, 0, np.empty((kh, kw, c_in, n)))
     return out.reshape(c_out, out_h, wp)[:, :, :out_w]
+
+
+# conv2d_backward's row bands: the largest whole multiple of BAND_ROWS
+# output rows whose column block holds at most BAND_ENTRIES float64s
+# (1 MiB), but at least BAND_ROWS rows, and at most the whole output. A
+# band of BAND_ROWS rows spans BAND_ROWS * Wp flat columns: OpenBLAS gave
+# the same bytes with one thread or two for products whose long dimension
+# is a multiple of 16, and not for others, such as bands of 37 rows.
+BAND_ENTRIES = 1 << 17
+BAND_ROWS = 16
 
 
 def conv2d_backward(x: np.ndarray, weights: np.ndarray, padding: int,
@@ -108,20 +129,21 @@ def conv2d_backward(x: np.ndarray, weights: np.ndarray, padding: int,
     """Gradients of sum(grad_output * conv2d(x, weights, padding)).
 
     Returns (grad_input, grad_weights); a bias gradient is the caller's
-    sum of grad_output, as conv2d adds no bias. The lowering of conv2d:
-    grad_output is embedded in a [C_out, out_h*Wp] buffer g that is zero
-    in the wrapped columns. Tap (ki, kj), reading the input columns s,
-    gives grad_weights[:, :, ki, kj] = g @ flat[:, s].T and adds
-    weights[:, :, ki, kj].T @ g into columns s of the padded input's
-    gradient.
+    sum of grad_output, as conv2d adds no bias. The lowering of conv2d,
+    walked over the output in row bands, top to bottom (BAND_ENTRIES says
+    how tall). A band's grad_output is embedded in a [C_out, rows*Wp]
+    buffer g that is zero in the wrapped columns, and its column block is
+    built as conv2d builds the whole output's. The band adds g @ cols.T
+    to grad_weights. Then W.T @ g, the column block's gradient, is
+    written over the column block, and its kh*kw tap slices are added, in
+    tap order, into the columns of the padded input's gradient that they
+    were read from; consecutive bands overlap there by kh-1 rows.
 
-    Unlike conv2d, this forms no im2col column block. Measured with one
-    BLAS thread over the five default blocks, per image, a one-GEMM
-    backward was slower at 64 px (1.4-1.5 to 2.1 ms) and 128 px (4.2-4.4
-    to 5.1 ms), where training runs most, and faster only at 256 px
-    (23-25 to 18-20 ms). Its column block is also formed while every
-    cached forward of a batch is held: at 256 px, batch 4, it raised the
-    training run's peak RSS by 9-11%.
+    One buffer per call holds a band's column block and then its
+    gradient, so memory does not grow with the image: with tracemalloc,
+    block 1 at 256 px (3 to 8 channels) peaked at 4.4 MB, against 9.0 MB
+    for the nine-tap-product backward this replaced and 21.7 MB for one
+    whole-output column block.
     """
     out_h, out_w = _conv_output_size(x, weights, padding)
 
@@ -129,18 +151,26 @@ def conv2d_backward(x: np.ndarray, weights: np.ndarray, padding: int,
     c_in, in_h, in_w = x.shape
     c_out, _, kh, kw = weights.shape
     flat, wp = _padded_flat(x, p)
-    n = out_h * wp
-    g = np.zeros((c_out, out_h, wp))
-    g[:, :, :out_w] = grad_output
-    g = g.reshape(c_out, n)
-    taps = np.ascontiguousarray(weights.transpose(2, 3, 0, 1))
+    w = weights.transpose(0, 2, 3, 1).reshape(c_out, -1)
+    fit = BAND_ENTRIES // (w.shape[1] * wp) // BAND_ROWS * BAND_ROWS
+    band = min(max(fit, BAND_ROWS), out_h)
     grad_flat = np.zeros_like(flat)
-    grad_w = np.empty_like(weights)
-    for ki in range(kh):
-        for kj in range(kw):
-            cols = slice(ki * wp + kj, ki * wp + kj + n)
-            grad_w[:, :, ki, kj] = g @ flat[:, cols].T
-            grad_flat[:, cols] += taps[ki, kj].T @ g
+    grad_w = np.zeros_like(weights)
+    g_band = np.zeros((c_out, band, wp))  # wrapped columns stay zero
+    block = np.empty((kh, kw, c_in, band * wp))
+    for r0 in range(0, out_h, band):
+        rows = min(band, out_h - r0)
+        n = rows * wp
+        g_band[:, :rows, :out_w] = grad_output[:, r0:r0 + rows]
+        g = g_band[:, :rows].reshape(c_out, n)
+        cols = _columns(flat, wp, r0 * wp, block[..., :n])
+        grad_w += (g @ cols.T).reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
+        # The input gradient's block overwrites the column block.
+        grad_cols = np.matmul(w.T, g, out=cols).reshape(kh, kw, c_in, n)
+        for ki in range(kh):
+            for kj in range(kw):
+                s = (r0 + ki) * wp + kj
+                grad_flat[:, s:s + n] += grad_cols[ki, kj]
     grad_x = grad_flat.reshape(c_in, -1, wp)[:, p:p + in_h, p:p + in_w]
     return grad_x, grad_w
 
