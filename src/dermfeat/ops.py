@@ -140,10 +140,9 @@ def conv2d_backward(x: np.ndarray, weights: np.ndarray, padding: int,
     were read from; consecutive bands overlap there by kh-1 rows.
 
     One buffer per call holds a band's column block and then its
-    gradient, so memory does not grow with the image: with tracemalloc,
-    block 1 at 256 px (3 to 8 channels) peaked at 4.4 MB, against 9.0 MB
-    for the nine-tap-product backward this replaced and 21.7 MB for one
-    whole-output column block.
+    gradient, so the band, not the image, bounds the transient memory:
+    block 1 at 256 px (3 to 8 channels) peaks at 4.4 MB under
+    tracemalloc, where one whole-output column block would need 21.7 MB.
     """
     out_h, out_w = _conv_output_size(x, weights, padding)
 
@@ -165,7 +164,7 @@ def conv2d_backward(x: np.ndarray, weights: np.ndarray, padding: int,
         g = g_band[:, :rows].reshape(c_out, n)
         cols = _columns(flat, wp, r0 * wp, block[..., :n])
         grad_w += (g @ cols.T).reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
-        # The input gradient's block overwrites the column block.
+        # Written over the column block, which g @ cols.T no longer needs.
         grad_cols = np.matmul(w.T, g, out=cols).reshape(kh, kw, c_in, n)
         for ki in range(kh):
             for kj in range(kw):

@@ -707,6 +707,22 @@ def test_empty_manifest_exits_1_naming_it(capsys, trained, tmp_path, name):
     assert not (tmp_path / "run").exists()
 
 
+
+@pytest.mark.parametrize("name", ["train", "predict", "eval"])
+def test_non_string_split_exits_1_naming_the_manifest(capsys, small_dataset,
+                                                      trained, tmp_path, name):
+    root = tmp_path / "ds"
+    shutil.copytree(small_dataset, root)
+    manifest = root / "manifest.json"
+    _edit_json(manifest, lambda d: {**d, "split": [5, None]})
+    argv = _pipeline_inputs(name, small_dataset, trained)
+    argv[argv.index("--data") + 1] = str(manifest)
+    code, _, err = run(capsys, name, *argv, "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert err == (f"error: {manifest}: malformed manifest: 'split' must be "
+                   f"str, got [5, null]\n")
+    assert not (tmp_path / "run").exists()
+
 def _edit_json(path, edit):
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
 

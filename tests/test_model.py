@@ -406,15 +406,26 @@ class TestFactoredHead:
         assert g_img.tobytes() == want_g_img.tobytes()
 
 
-# One forward and backward, printed as sha256 per tensor plus the thread
-# count of the process (Linux only; None elsewhere). At 128 px OpenBLAS
-# splits some products across two threads; at 32 and 64 px none is large
-# enough, and a two-thread run used no more CPU time than wall time.
+# One forward and backward, printed as sha256 per tensor, the thread
+# count of the process (Linux only; None elsewhere) and the number of
+# row bands, column blocks, of each conv2d_backward call. At 128 px
+# OpenBLAS splits some products across two threads; at 32 and 64 px none
+# is large enough, and a two-thread run used no more CPU time than wall
+# time.
 _DETERMINISM_SCRIPT = """
 import hashlib, json, os
 import numpy as np
-from dermfeat import model
+from dermfeat import model, ops
 from dermfeat.loss import f1_loss_grad
+bands = []  # one count per conv2d_backward call; the forward runs first
+def columns(*args, _columns=ops._columns):
+    if bands:
+        bands[-1] += 1
+    return _columns(*args)
+def conv2d_backward(*args, _backward=ops.conv2d_backward):
+    bands.append(0)
+    return _backward(*args)
+ops._columns, ops.conv2d_backward = columns, conv2d_backward
 cfg = model.EncoderConfig()
 params = model.init_params(cfg, 21)
 rng = np.random.default_rng(21)
@@ -426,6 +437,7 @@ tensors = {"probs": probs, "image": g_img, **grads}
 tasks = "/proc/self/task"
 print(json.dumps({
     "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+    "bands": bands,
     "sha256": {k: hashlib.sha256(v.tobytes()).hexdigest()
                for k, v in tensors.items()}}))
 """
@@ -447,6 +459,8 @@ def test_identical_bytes_across_blas_thread_counts():
     one, two = runs["1"], runs["2"]
     if one["threads"] is not None and (os.cpu_count() or 1) >= 2:
         assert two["threads"] > one["threads"]  # the variable took effect
+    # Blocks 5 to 1: bands join in the weight and input gradients.
+    assert one["bands"] == two["bands"] == [1, 1, 2, 4, 4]
     assert one["sha256"] == two["sha256"]
 
 

@@ -1,6 +1,7 @@
 """Tensor kernel tests: independent oracles, frozen examples, gradient checks."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,80 @@ class TestConv2dBackward:
         for name, a, b in zip(("input", "weights"), got, want, strict=True):
             np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13,
                                        err_msg=f"grad {name}")
+
+    @staticmethod
+    def band_starts(monkeypatch):
+        """Record (start, n) of every column block ops builds."""
+        starts, columns = [], ops._columns
+
+        def recording(flat, wp, start, cols):
+            starts.append((start, cols.shape[-1]))
+            return columns(flat, wp, start, cols)
+
+        monkeypatch.setattr(ops, "_columns", recording)
+        return starts
+
+    @pytest.mark.parametrize("shape,kh,kw,padding", [
+        ((2, 40, 7), 3, 3, 1), ((3, 40, 9), 2, 3, 0)])
+    def test_bands_match_einsum_tap_loop(self, monkeypatch, shape, kh, kw,
+                                         padding):
+        # A 16-row band's column block just fits, so the 40 or 39 output
+        # rows run as bands of 16, 16 and the short rest.
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=shape)
+        w = rng.normal(size=(4, shape[0], kh, kw))
+        out_h, out_w = ops.conv2d(x, w, padding).shape[1:]
+        wp = shape[2] + 2 * padding
+        monkeypatch.setattr(ops, "BAND_ENTRIES",
+                            ops.BAND_ROWS * kh * kw * shape[0] * wp)
+        g = rng.normal(size=(4, out_h, out_w))
+        starts = self.band_starts(monkeypatch)
+        got = ops.conv2d_backward(x, w, padding, g)
+        assert starts == [(0, 16 * wp), (16 * wp, 16 * wp),
+                          (32 * wp, (out_h - 32) * wp)]
+        want = conv2d_backward_oracle(x, w, padding, g)
+        for name, a, b in zip(("input", "weights"), got, want, strict=True):
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13,
+                                       err_msg=f"grad {name}")
+        again = ops.conv2d_backward(x, w, padding, g)
+        for a, b in zip(got, again, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    def test_encoder_blocks_at_256px_match_einsum_tap_loop(self, monkeypatch):
+        """Each default block at 256 px: blocks 1-4 run several bands."""
+        cfg = model.EncoderConfig()
+        rng = np.random.default_rng(13)
+        c_in, size = cfg.in_channels, 256
+        starts, bands = self.band_starts(monkeypatch), []
+        for c_out in cfg.channels:
+            x = rng.normal(size=(c_in, size, size))
+            w = rng.normal(size=(c_out, c_in, model.KERNEL, model.KERNEL))
+            g = rng.normal(size=(c_out, size, size))
+            starts.clear()
+            got = ops.conv2d_backward(x, w, model.KERNEL // 2, g)
+            bands.append(len(starts))
+            want = conv2d_backward_oracle(x, w, model.KERNEL // 2, g)
+            for name, a, b in zip(("input", "weights"), got, want, strict=True):
+                scale = np.abs(b).max()
+                assert np.abs(a - b).max() <= 1e-13 * scale, f"grad {name}"
+            c_in, size = c_out, size // 2
+        assert bands == [16, 8, 4, 2, 1]
+
+    def test_traced_peak_of_block1_at_256px(self):
+        # The bands peak at 4.4 MB here; one column block for the whole
+        # output would hold 21.7 MB.
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(3, 256, 256))
+        w = rng.normal(size=(8, 3, 3, 3))
+        g = rng.normal(size=(8, 256, 256))
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            ops.conv2d_backward(x, w, 1, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2 ** 20
+
 
 class TestMaxPool:
     def test_single_window(self):
