@@ -235,8 +235,9 @@ def cmd_predict(cfg: dict) -> int:
 
     def entry(sample: data.ManifestEntry) -> dict:
         # Each image is read here, so only a round of them is ever held.
-        image, smap = data.read_sample(manifest_path.parent, sample,
-                                       manifest.image_size)
+        stored, smap = data.read_sample(manifest_path.parent, sample,
+                                        manifest.image_size)
+        image = data.input_image(stored)
         try:
             encoder.check_image(image)
         except ValueError as exc:
@@ -246,8 +247,8 @@ def cmd_predict(cfg: dict) -> int:
         if not np.isfinite(probs).all():
             raise ValueError(f"weights {weights_path} give non-finite "
                              f"probabilities for image {sample.image!r}")
-        return {"image": sample.image,
-                "scores": mask_to_scores(smap, probs).tolist()}
+        # A float64 array until write_json streams it: 32 bytes a row.
+        return {"image": sample.image, "scores": mask_to_scores(smap, probs)}
 
     # read_sample holds every image to the manifest's square extent.
     # Finite but huge weights overflow inside the ops; the check in entry
@@ -261,10 +262,16 @@ def cmd_predict(cfg: dict) -> int:
     return 0
 
 
+def _scores_array(obj: dict) -> dict:
+    """A predictions entry with its scores made an array as soon as json.load
+    has parsed the entry, so no entry's rows stay Python lists. A malformed
+    table is named then, before any image listed twice."""
+    return {**obj, "scores": json_table(obj, "scores")} if "scores" in obj else obj
+
+
 def _parse_predictions(entries: list) -> dict[str, np.ndarray]:
     """Image name -> [K,4] scores; an image listed twice is an error."""
-    return {name: json_table(e, "scores")
-            for name, e in by_key(entries, "image").items()}
+    return {name: e["scores"] for name, e in by_key(entries, "image").items()}
 
 
 def cmd_eval(cfg: dict) -> int:
@@ -277,7 +284,8 @@ def cmd_eval(cfg: dict) -> int:
     names = [s.image for s in manifest.samples]
     labels = [read_labels(manifest_path.parent / s.labels)
               for s in manifest.samples]
-    by_image = read_json(pred_path, "predictions", _parse_predictions)
+    by_image = read_json(pred_path, "predictions", _parse_predictions,
+                         object_hook=_scores_array)
     listed = set(names)
     for name in by_image:
         if name not in listed:

@@ -13,8 +13,12 @@ with (seed, i), so serial and parallel generation agree.
 
 A manifest entry is read in two parts: `read_sample` reads its image and
 superpixel map and checks their extents, and `read_labels` its labels.
-`load` builds train's in-memory dataset from both; predict reads one
-sample's image and map at a time, and eval only the labels.
+Predict reads one sample's image and map at a time, and eval only the
+labels. `load` builds train's in-memory dataset from both and keeps each
+sample at its stored size: the image as its uint8 PPM values and the
+labels painted once into a uint8 truth mask, 7 bytes per pixel. It keeps
+no superpixel map and no float64 image. Train and predict both make the
+network's float64 input with `input_image`, one image at a time.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from . import netpbm
 from .jsonio import by_key, json_field, read_json, write_json
 from .model import EncoderConfig
 from .superpixels import (CLASS_COUNT, MAX_SUPERPIXELS, SuperpixelMap,
-                          grid_superpixels, mask_to_scores, read_labels,
-                          read_superpixel_map, write_labels,
+                          grid_superpixels, labels_to_mask, mask_to_scores,
+                          read_labels, read_superpixel_map, write_labels,
                           write_superpixel_map)
 
 BACKGROUND_RGB = (0.80, 0.66, 0.58)
@@ -253,19 +257,26 @@ def generate(spec: SynthSpec, count: int, out_dir: str | os.PathLike,
 
 @dataclass
 class Sample:
-    """One loaded dataset sample."""
+    """One training sample as `load` keeps it: 3 + 4 bytes per pixel."""
 
     name: str
-    image: np.ndarray  # [3,H,W] float64 in [0,1]
-    smap: SuperpixelMap
-    labels: np.ndarray  # [K,4] binary
+    image: np.ndarray  # [3,H,W] uint8, the stored PPM values
+    truth: np.ndarray  # [4,H,W] uint8 0/1, the labels painted per pixel
+
+
+def input_image(stored: np.ndarray) -> np.ndarray:
+    """The network's input for a stored [3,H,W] uint8 image: C-contiguous
+    float64 in [0,1], each value its byte / 255."""
+    image = stored.astype(np.float64, order="C")
+    image /= 255.0
+    return image
 
 
 def read_sample(base: Path, entry: ManifestEntry,
                 image_size: int) -> tuple[np.ndarray, SuperpixelMap]:
-    """One manifest entry's image, as [3,H,W] float64 in [0,1], and its
-    superpixel map, with paths relative to `base`. Checks that the image
-    is image_size x image_size and that the map has its extents; the
+    """One manifest entry's image, as its stored [3,H,W] uint8 values, and
+    its superpixel map, with paths relative to `base`. Checks that the
+    image is image_size x image_size and that the map has its extents; the
     labels are read on their own (`read_labels`)."""
     # A missing file is the FileNotFoundError of its open, naming it.
     rgb = netpbm.read_ppm8(base / entry.image)
@@ -277,14 +288,13 @@ def read_sample(base: Path, entry: ManifestEntry,
         raise ValueError(f"{entry.image}: superpixel map is "
                          f"{smap.width}x{smap.height}, image is "
                          f"{rgb.shape[1]}x{rgb.shape[0]}")
-    image = rgb.transpose(2, 0, 1).astype(np.float64, order="C")
-    image /= 255.0
-    return image, smap
+    return rgb.transpose(2, 0, 1), smap
 
 
 def load(manifest_path: str | os.PathLike) -> list[Sample]:
     """Load every sample of a manifest: its image and map through
-    read_sample, and labels with as many rows as the map has superpixels."""
+    read_sample, and labels with as many rows as the map has superpixels,
+    painted into the truth mask. The map is not kept."""
     manifest = read_manifest(manifest_path)
     base = Path(manifest_path).parent
     samples = []
@@ -294,6 +304,6 @@ def load(manifest_path: str | os.PathLike) -> list[Sample]:
         if labels.shape[0] != smap.count:
             raise ValueError(f"{entry.image}: {labels.shape[0]} label rows but "
                              f"{smap.count} superpixels")
-        samples.append(Sample(name=entry.image, image=image, smap=smap,
-                              labels=labels))
+        samples.append(Sample(name=entry.image, image=image,
+                              truth=labels_to_mask(smap, labels).astype(np.uint8)))
     return samples

@@ -1,9 +1,10 @@
 """File rules: every file the pipeline writes is written inside `writing`,
 so one that cannot be written whole is removed and the error names its
 path; every JSON file has the bytes of `json.dumps(payload, indent=2)`
-and a newline, which `write_json` writes one top-level entry at a time;
-and every JSON document (and superpixel map) read is parsed inside
-`parsing`, so a malformed file is always one ValueError naming the path."""
+and a newline, which `write_json` writes one top-level entry at a time
+(an ndarray as its tolist()); and every JSON document (and superpixel
+map) read is parsed inside `parsing`, so a malformed file is always one
+ValueError naming the path."""
 
 from __future__ import annotations
 
@@ -40,9 +41,10 @@ def writing(path: str | os.PathLike, mode: str):
 
 def write_json(path: str | os.PathLike, payload) -> None:
     """Write the bytes of json.dumps(payload, indent=2) and a newline to
-    path, one top-level entry at a time, never holding the whole document.
-    NaN, infinity ("not JSON compliant"), an unencodable value and a
-    circular reference raise the stdlib's error, naming the path."""
+    path, one top-level entry at a time, never holding the whole document;
+    an ndarray anywhere in it is written as its tolist(). NaN, infinity
+    ("not JSON compliant"), an unencodable value and a circular reference
+    raise the stdlib's error, naming the path."""
     with writing(path, "w") as fh:
         fh.writelines(_pieces(payload, 0, set()))
         fh.write("\n")
@@ -52,6 +54,8 @@ def _pieces(o, level: int, seen: set):
     """Yield o's text nested `level` deep: a container as the opening with
     its first entry, each further entry and the closing, anything else
     whole. `seen` holds the ids of the enclosing containers."""
+    if isinstance(o, np.ndarray):
+        o = o.tolist()
     if not isinstance(o, (list, tuple, dict)):
         yield _scalar(o)
         return
@@ -128,10 +132,11 @@ def parsing(path: str | os.PathLike, what: str):
         raise ValueError(f"{os.fspath(path)}: malformed {what}: {exc}") from None
 
 
-def read_json(path: str | os.PathLike, what: str, parse):
-    """parse(document) for the JSON file at path, inside `parsing`."""
+def read_json(path: str | os.PathLike, what: str, parse, object_hook=None):
+    """parse(document) for the JSON file at path, inside `parsing`; json.load
+    passes each object it parses through object_hook, if one is given."""
     with open(path, "r", encoding="utf-8") as fh, parsing(path, what):
-        return parse(json.load(fh))
+        return parse(json.load(fh, object_hook=object_hook))
 
 
 def by_key(items, key: str) -> dict:

@@ -112,7 +112,9 @@ def labels_to_mask(smap: SuperpixelMap, labels: np.ndarray) -> np.ndarray:
     """Paint per-superpixel labels into a binary [4,H,W] mask volume:
     mask[c,i,j] = labels[smap.index[i,j], c]."""
     labels = validate_labels(labels, smap.count)
-    return np.ascontiguousarray(labels[smap.index].transpose(2, 0, 1))
+    # One gather per class row of the transposed table, straight into the
+    # C-contiguous [4,H,W] result.
+    return np.take(np.ascontiguousarray(labels.T), smap.index, axis=1)
 
 
 def mask_to_scores(smap: SuperpixelMap, mask: np.ndarray) -> np.ndarray:

@@ -28,10 +28,9 @@ from typing import Sequence
 import numpy as np
 
 from . import model
-from .data import Sample
+from .data import Sample, input_image
 from .loss import f1_loss_grad
 from .model import EncoderConfig, ModelParams
-from .superpixels import labels_to_mask
 
 # Images of at least this many pixels run on a thread per CPU, smaller
 # ones serially. On 2 CPUs with one BLAS thread (CHANGES.md has the runs),
@@ -164,7 +163,6 @@ def train(dataset: Sequence[Sample],
         raise ValueError("training dataset is empty")
     # A batch stacks its predictions, so every image needs the same shape.
     shape = dataset[0].image.shape
-    truths = []
     for sample in dataset:
         try:
             cfg.encoder.check_image(sample.image)
@@ -174,8 +172,10 @@ def train(dataset: Sequence[Sample],
             raise ValueError(f"sample {sample.name!r}: image shape "
                              f"{sample.image.shape} differs from the first "
                              f"sample's {shape}")
-        # 0/1 masks: one byte per pixel until a batch stacks them.
-        truths.append(labels_to_mask(sample.smap, sample.labels).astype(np.uint8))
+        # input_image would scale any other dtype by 1/255 all the same.
+        if sample.image.dtype != np.uint8:
+            raise ValueError(f"sample {sample.name!r}: image dtype "
+                             f"{sample.image.dtype} is not the stored uint8")
 
     params = model.init_params(cfg.encoder, cfg.seed)
     velocity = {name: np.zeros_like(p) for name, p in params.items()}
@@ -190,15 +190,18 @@ def train(dataset: Sequence[Sample],
             batch_losses = []
             for batch, start in enumerate(range(0, len(dataset), cfg.batch_size), 1):
                 idx = order[start:start + cfg.batch_size]
+                # Each image is made float64 in its own forward item, and
+                # its cache holds it until the batch's backward is done.
                 preds, caches = zip(*each(lambda i: model.forward(
-                    params, cfg.encoder, dataset[i].image), idx))
+                    params, cfg.encoder, input_image(dataset[i].image)), idx))
                 _check_finite(epoch, batch, {
                     f"prediction for {dataset[i].name!r}": probs
                     for i, probs in zip(idx, preds)})
                 # Both stacks are temporaries, freed before the backward.
                 batch_loss, _, grad_stack = f1_loss_grad(
                     np.stack(preds),
-                    np.stack([truths[i] for i in idx], dtype=np.float64), cfg.eps)
+                    np.stack([dataset[i].truth for i in idx], dtype=np.float64),
+                    cfg.eps)
 
                 grad_total = {name: np.zeros_like(p) for name, p in params.items()}
                 for grads in each(lambda j: model.backward(

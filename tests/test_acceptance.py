@@ -15,13 +15,26 @@ from dermfeat.data import SynthSpec
 from dermfeat.loss import f1_loss
 from dermfeat.metrics import auroc
 from dermfeat.model import EncoderConfig, forward, init_params
-from dermfeat.superpixels import grid_superpixels, labels_to_mask, mask_to_scores
+from dermfeat.superpixels import (grid_superpixels, labels_to_mask,
+                                  mask_to_scores, read_labels)
 from dermfeat.train import TrainConfig, predict, train
 from oracles import auroc_oracle
 
 
 def report(name: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+
+
+def held_out(root):
+    """(name, input image, superpixel map, labels) per sample, as predict
+    and eval read them."""
+    manifest = data.read_manifest(root / "manifest.json")
+    samples = []
+    for e in manifest.samples:
+        stored, smap = data.read_sample(root, e, manifest.image_size)
+        samples.append((e.image, data.input_image(stored), smap,
+                        read_labels(root / e.labels)))
+    return samples
 
 
 @pytest.fixture(scope="module")
@@ -32,8 +45,7 @@ def desk_dataset(tmp_path_factory):
                   root / "train", split="train")
     data.generate(SynthSpec(image_size=64, cell=8, seed=1007), 50,
                   root / "test", split="test")
-    return (data.load(root / "train" / "manifest.json"),
-            data.load(root / "test" / "manifest.json"))
+    return data.load(root / "train" / "manifest.json"), held_out(root / "test")
 
 
 def test_c1_gradient_correctness():
@@ -132,14 +144,15 @@ def test_c4_auroc_oracle_equivalence():
 
 def test_c5_single_image_overfit(desk_dataset):
     train_samples, _ = desk_dataset
-    sample = next(s for s in train_samples if (s.labels.sum(axis=0) > 0).all())
-    truth = labels_to_mask(sample.smap, sample.labels)
+    # Every superpixel has pixels: a class with a positive label paints one.
+    sample = next(s for s in train_samples if s.truth.any(axis=(1, 2)).all())
+    truth = sample.truth
 
     t0 = time.perf_counter()
     cfg = TrainConfig(batch_size=1, epochs=200, seed=7,
                       encoder=EncoderConfig())
     params, rep = train([sample], cfg)
-    probs = predict(params, cfg.encoder, sample.image)
+    probs = predict(params, cfg.encoder, data.input_image(sample.image))
     final, _ = f1_loss(probs, truth)
     elapsed = time.perf_counter() - t0
 
@@ -157,10 +170,10 @@ def test_c6_end_to_end_learning(desk_dataset):
     cfg = TrainConfig(batch_size=8, epochs=5, seed=7,
                       encoder=EncoderConfig())
     params, rep = train(train_samples, cfg)
-    predictions = [mask_to_scores(s.smap, predict(params, cfg.encoder, s.image))
-                   for s in test_samples]
-    result = metrics.evaluate(predictions, [s.labels for s in test_samples],
-                              sample_ids=[s.name for s in test_samples])
+    names, images, smaps, labels = zip(*test_samples)
+    predictions = [mask_to_scores(smap, predict(params, cfg.encoder, image))
+                   for image, smap in zip(images, smaps)]
+    result = metrics.evaluate(predictions, list(labels), sample_ids=list(names))
     elapsed = time.perf_counter() - t0
 
     macro = result.macro_average

@@ -18,8 +18,10 @@ import pytest
 import dermfeat
 from dermfeat import cli, model
 from dermfeat.cli import _OPTIONS, main
+from dermfeat.data import read_manifest
 from dermfeat.jsonio import write_json
-from dermfeat.superpixels import grid_superpixels, write_superpixel_map
+from dermfeat.superpixels import (grid_superpixels, read_labels,
+                                  write_superpixel_map)
 from faults import fill_disk
 
 
@@ -31,6 +33,13 @@ def run(capsys, *argv):
 
 def read_tree(root):
     return {p.name: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def label_entries(root):
+    """A predictions list whose scores are each image's labels."""
+    manifest = read_manifest(root / "manifest.json")
+    return [{"image": e.image, "scores": read_labels(root / e.labels).tolist()}
+            for e in manifest.samples]
 
 
 @pytest.fixture(scope="module")
@@ -308,8 +317,9 @@ class TestPredict:
     def test_memory_does_not_grow_with_the_image_count(self, capsys, trained,
                                                        tmp_path):
         # Images are read one at a time, so 12 more 64 px images add only
-        # their score tables (measured: ~0.11 MB in all). Holding their
-        # pixels as float64 (98,304 bytes each) added 1.7 MB.
+        # their score tables: 768 rows of 32 bytes as float64 arrays
+        # (measured: 20-32 KB in all; as Python lists, 107-141 KB).
+        # Holding their pixels as float64 (98,304 bytes each) added 1.7 MB.
         root = tmp_path / "ds"
         assert main(["gen-data", "--out", str(root), "--count", "16",
                      "--size", "64", "--cell", "8", "--seed", "4"]) == 0
@@ -330,8 +340,12 @@ class TestPredict:
             assert code == 0
             return traced
 
-        growth = peak("manifest.json") - peak("few.json")
+        # The first predict's one-time allocations are not the images'.
+        few, many = (min(peak(m) for _ in range(2))
+                     for m in ("few.json", "manifest.json"))
+        growth = many - few
         assert growth < 4 * 3 * 64 * 64 * 8
+        assert growth < 12 * 64 * 96  # 96 bytes a superpixel
 
 
 class TestEval:
@@ -354,11 +368,7 @@ class TestEval:
 
     def test_perfect_predictions_score_one(self, capsys, small_dataset,
                                            tmp_path):
-        from dermfeat import data as data_mod
-        samples = data_mod.load(small_dataset / "manifest.json")
-        entries = [{"image": s.name,
-                    "scores": [[float(v) for v in row] for row in s.labels]}
-                   for s in samples]
+        entries = label_entries(small_dataset)
         pred_path = tmp_path / "perfect.json"
         pred_path.write_text(json.dumps(entries))
         code, out, _ = run(capsys, "eval", "--pred", str(pred_path),
@@ -396,16 +406,48 @@ class TestEval:
                      "--out", str(tmp_path / "run")]) == 0
         assert read_tree(tmp_path / "run") == read_tree(tmp_path / "full")
 
+    def test_memory_does_not_grow_with_the_image_count(self, capsys,
+                                                       tmp_path):
+        # Each of 12 more images adds 256 superpixels. Eval reads their
+        # scores' text, makes each entry's scores a float64 array as it is
+        # parsed, and holds them with the labels and pools them per class:
+        # 176 bytes a superpixel measured. Parsed into Python lists first,
+        # the scores took 295.
+        root = tmp_path / "ds"
+        assert main(["gen-data", "--out", str(root), "--count", "16",
+                     "--size", "64", "--cell", "4", "--seed", "4"]) == 0
+        doc = json.loads((root / "manifest.json").read_text())
+        (root / "few.json").write_text(
+            json.dumps({**doc, "samples": doc["samples"][:4]}))
+        entries = label_entries(root)
+        write_json(root / "pred.json", entries)
+        write_json(root / "few_pred.json", entries[:4])
+
+        def peak(pred, manifest):
+            tracemalloc.start()
+            try:
+                code, _, _ = run(capsys, "eval", "--pred", str(root / pred),
+                                 "--data", str(root / manifest),
+                                 "--out", str(tmp_path / "run"))
+                traced = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            return traced
+
+        few, many = (min(peak(*args) for _ in range(2)) for args in
+                     (("few_pred.json", "few.json"),
+                      ("pred.json", "manifest.json")))
+        growth = many - few
+        assert growth < 12 * 256 * 240  # 240 bytes a superpixel
+
     def test_undefined_class_prints_na(self, capsys, tmp_path):
-        from dermfeat import data as data_mod
         root = tmp_path / "ds"
         assert main(["gen-data", "--out", str(root), "--count", "2",
                      "--size", "16", "--cell", "4", "--seed", "1",
                      "--prevalence", "0,0,0,0"]) == 0
-        samples = data_mod.load(root / "manifest.json")
-        entries = [{"image": s.name,
-                    "scores": [[0.5] * 4 for _ in range(s.labels.shape[0])]}
-                   for s in samples]
+        entries = [{**e, "scores": [[0.5] * 4 for _ in e["scores"]]}
+                   for e in label_entries(root)]
         pred_path = tmp_path / "p.json"
         pred_path.write_text(json.dumps(entries))
         code, out, _ = run(capsys, "eval", "--pred", str(pred_path),
@@ -758,6 +800,10 @@ def _zeroed(entry):
      "malformed predictions: image 'sample_00000.ppm' is listed twice"),
     ("pred.json", lambda p: _edit_json(p, lambda d: [*d, _zeroed(d[0])]),
      "malformed predictions: image 'sample_00000.ppm' is listed twice"),
+    # Each table is checked as its entry is parsed, before any repeat.
+    ("pred.json", lambda p: _edit_json(p, lambda d: [
+        _zeroed(d[0]), *d[:-1], {**d[-1], "scores": [[True, 0, 0, 0]]}]),
+     "malformed predictions: 'scores' entries must be numbers, got bool"),
     # predict would write such a manifest's image twice.
     ("manifest.json", lambda p: _edit_json(
         p, lambda d: {**d, "samples": [*d["samples"], d["samples"][1]]}),
@@ -788,6 +834,7 @@ def _zeroed(entry):
 ], ids=["manifest-entry-missing-key", "manifest-truncated",
         "labels-classes-not-a-list", "prediction-missing-scores",
         "prediction-repeated-first", "prediction-repeated-last",
+        "prediction-repeated-then-malformed",
         "manifest-image-repeated",
         "predictions-not-a-list", "predictions-truncated",
         "manifest-image-not-a-string", "manifest-image-size-float",
@@ -796,12 +843,9 @@ def _zeroed(entry):
 def test_malformed_json_input_exits_1_naming_file(capsys, small_dataset,
                                                   tmp_path, target, mutate,
                                                   message):
-    from dermfeat import data as data_mod
     root = tmp_path / "ds"
     shutil.copytree(small_dataset, root)
-    entries = [{"image": s.name, "scores": s.labels.tolist()}
-               for s in data_mod.load(root / "manifest.json")]
-    (root / "pred.json").write_text(json.dumps(entries))
+    (root / "pred.json").write_text(json.dumps(label_entries(root)))
     mutate(root / target)
     code, _, err = run(capsys, "eval", "--pred", str(root / "pred.json"),
                        "--data", str(root / "manifest.json"),
@@ -812,9 +856,7 @@ def test_malformed_json_input_exits_1_naming_file(capsys, small_dataset,
 
 def test_score_outside_unit_interval_exits_1_naming_image(capsys, small_dataset,
                                                           tmp_path):
-    from dermfeat import data as data_mod
-    samples = data_mod.load(small_dataset / "manifest.json")
-    entries = [{"image": s.name, "scores": s.labels.tolist()} for s in samples]
+    entries = label_entries(small_dataset)
     entries[2]["scores"][0] = [7.0, -3.0, 0.5, 0.5]
     pred_path = tmp_path / "pred.json"
     pred_path.write_text(json.dumps(entries))
@@ -822,17 +864,15 @@ def test_score_outside_unit_interval_exits_1_naming_image(capsys, small_dataset,
                        "--data", str(small_dataset / "manifest.json"),
                        "--out", str(tmp_path / "run"))
     assert code == 1
-    assert err == (f"error: {samples[2].name}: prediction scores must lie "
+    assert err == (f"error: {entries[2]['image']}: prediction scores must lie "
                    f"in [0, 1]\n")
     assert not (tmp_path / "run").exists()
 
 
 def test_prediction_for_unlisted_image_exits_1(capsys, small_dataset, tmp_path):
-    from dermfeat import data as data_mod
     root = tmp_path / "ds"
     shutil.copytree(small_dataset, root)
-    entries = [{"image": s.name, "scores": s.labels.tolist()}
-               for s in data_mod.load(root / "manifest.json")]
+    entries = label_entries(root)
     (root / "pred.json").write_text(json.dumps(entries))
     _edit_json(root / "manifest.json",
                lambda d: {**d, "samples": d["samples"][:3]})

@@ -64,6 +64,28 @@ def test_a_shared_container_is_not_circular(tmp_path):
     assert (tmp_path / "r.json").read_text() == json.dumps(payload, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("array", [
+    np.array([[0.5, -0.0, 1e16, 5e-324], [1.0, 0.1, 0.25, 1.7976931348623157e308]]),
+    np.arange(6, dtype=np.int64).reshape(3, 2),
+    np.array([True, False]),
+    np.array(0.1),
+    np.zeros((0, 4)),
+], ids=["float64-table", "int64-table", "bool", "0-d", "empty"])
+def test_writes_an_array_as_its_tolist(tmp_path, array):
+    path = tmp_path / "r.json"
+    write_json(path, [{"image": "a.ppm", "scores": array}, array])
+    listed = [{"image": "a.ppm", "scores": array.tolist()}, array.tolist()]
+    assert path.read_text() == json.dumps(listed, indent=2) + "\n"
+
+
+def test_a_non_finite_array_fails_as_its_tolist(tmp_path):
+    path = tmp_path / "r.json"
+    with pytest.raises(ValueError, match="Out of range float values are "
+                       "not JSON compliant: nan"):
+        write_json(path, {"scores": np.array([[0.5, np.nan]])})
+    assert list(tmp_path.iterdir()) == []
+
+
 def _circular():
     loop = [1.0]
     loop.append(loop)

@@ -58,6 +58,19 @@ class TestConversions:
         np.testing.assert_array_equal(mask[1], np.zeros((2, 2)))
         np.testing.assert_array_equal(mask[2], np.zeros((2, 2)))
 
+    def test_labels_to_mask_is_the_per_pixel_definition(self):
+        smap = grid_superpixels(7, 5, 2)  # ragged last row and column
+        labels = (np.random.default_rng(1).random((smap.count, 4)) < 0.5
+                  ).astype(np.float64)
+        mask = labels_to_mask(smap, labels)
+        assert mask.dtype == np.float64 and mask.flags.c_contiguous
+        expected = np.empty((4, 7, 5))
+        for c in range(4):
+            for i in range(7):
+                for j in range(5):
+                    expected[c, i, j] = labels[smap.index[i, j], c]
+        assert mask.tobytes() == expected.tobytes()
+
     def test_all_zero_labels(self):
         smap = grid_superpixels(4, 4, 2)
         mask = labels_to_mask(smap, np.zeros((4, 4)))

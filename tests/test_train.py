@@ -8,7 +8,8 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from dermfeat import data, model
+from dermfeat import data, model, netpbm
+from dermfeat.cli import main
 from dermfeat import train as train_mod
 from dermfeat.data import SynthSpec
 from dermfeat.model import EncoderConfig
@@ -99,17 +100,56 @@ class TestTrain:
                            r"image extents 15x16 must be divisible by 2"):
             train([odd] + tiny_dataset[1:], tiny_config())
 
+    def test_rejects_an_image_not_stored_as_uint8_naming_sample(
+            self, tiny_dataset):
+        odd = replace(tiny_dataset[2],
+                      image=data.input_image(tiny_dataset[2].image))
+        with pytest.raises(ValueError, match=r"sample 'sample_00002\.ppm': "
+                           r"image dtype float64 is not the stored uint8"):
+            train(tiny_dataset[:2] + [odd] + tiny_dataset[3:], tiny_config())
+
+    def test_train_and_predict_feed_the_forward_the_same_float64_image(
+            self, tmp_path, monkeypatch):
+        # 0 and 255 are the ends of the scale, and every other byte value
+        # is in one of the three images as well.
+        data.generate(SynthSpec(image_size=16, cell=4, seed=3), 3, tmp_path)
+        values = np.arange(3 * 16 * 16 * 3) % 256
+        rgbs = [values[i::3].astype(np.uint8).reshape(16, 16, 3)
+                for i in range(3)]
+        for i, rgb in enumerate(rgbs):
+            netpbm.write_ppm8(tmp_path / f"sample_{i:05d}.ppm", rgb)
+        seen = []
+        real_forward = model.forward
+
+        def recording_forward(params, cfg, image):
+            seen.append(image.tobytes())
+            return real_forward(params, cfg, image)
+
+        monkeypatch.setattr(model, "forward", recording_forward)
+        manifest = str(tmp_path / "manifest.json")
+        params, _ = train(data.load(manifest),
+                          tiny_config(epochs=1, learning_rate=0.0))
+        trained, seen[:] = seen[:], []
+        model.save_params(params, TINY_ENCODER, tmp_path / "w.hfcn")
+        assert main(["predict", "--weights", str(tmp_path / "w.hfcn"),
+                     "--data", manifest, "--out", str(tmp_path / "run")]) == 0
+        expected = {(rgb.transpose(2, 0, 1) / 255.0).tobytes() for rgb in rgbs}
+        assert len(trained) == 3 and set(trained) == set(seen) == expected
+        pixels = np.frombuffer(b"".join(seen), dtype=np.float64)
+        assert 0.0 in pixels and 1.0 in pixels
+
     def test_every_sample_visited_once_per_epoch(self, tiny_dataset, monkeypatch):
         seen = []
         real_forward = model.forward
 
         def recording_forward(params, cfg, image):
-            seen.append(id(image))
+            seen.append(image.tobytes())
             return real_forward(params, cfg, image)
 
         monkeypatch.setattr(model, "forward", recording_forward)
         train(tiny_dataset, tiny_config(epochs=3, learning_rate=0.0))
-        expected = {id(s.image) for s in tiny_dataset}
+        expected = {data.input_image(s.image).tobytes() for s in tiny_dataset}
+        assert len(expected) == len(tiny_dataset)
         n = len(tiny_dataset)
         assert len(seen) == 3 * n
         for e in range(3):
@@ -316,7 +356,7 @@ class TestImageMap:
 class TestPredict:
     def test_deterministic_and_in_range(self, tiny_dataset):
         params, _ = train(tiny_dataset, tiny_config(epochs=1))
-        image = tiny_dataset[0].image
+        image = data.input_image(tiny_dataset[0].image)
         a = predict(params, TINY_ENCODER, image)
         b = predict(params, TINY_ENCODER, image)
         np.testing.assert_array_equal(a, b)
