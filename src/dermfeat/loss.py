@@ -8,10 +8,11 @@ image with empty ground truth keeps a nonzero loss floor even for a
 perfect prediction.
 
 Inputs may be a single volume [C,H,W] or a batch [B,C,H,W]; a batch is
-scored with counts pooled over all of its pixels per class. `f1_loss`
-checks the pair and counts once; `f1_loss_grad` calls it and forms the
-gradient from its counts, so one call per batch gives the loss, the
-breakdown and the gradient.
+scored with counts pooled over all of its pixels per class. The truth
+may be of any dtype that holds 0/1, uint8 masks read as stored; each 0/1
+casts exactly. `f1_loss` checks the pair and counts once; `f1_loss_grad`
+calls it and forms the gradient from its counts, so one call per batch
+gives the loss, the breakdown and the gradient.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def f1_loss(pred: np.ndarray, truth: np.ndarray,
             eps: float = 1.0) -> tuple[float, LossBreakdown]:
     """Smoothed multi-class F1 loss: 1 - mean_c 2tp_c/(2tp_c+fp_c+fn_c+eps)."""
     pred = as_f64(pred)
-    truth = as_f64(truth)
+    truth = np.asarray(truth)
     # eps = 0 makes 0/0 for a class with no positives and no prediction.
     if not eps > 0.0:
         raise ValueError(f"loss eps must be positive, got {eps}")
@@ -74,7 +75,7 @@ def f1_loss_grad(pred: np.ndarray, truth: np.ndarray, eps: float = 1.0
     expression evaluated pixel by pixel, -0.0 included.
     """
     loss, bd = f1_loss(pred, truth, eps)
-    truth = as_f64(truth)
+    truth = np.asarray(truth)
     classes = bd.tp.size
     denom = 2.0 * bd.tp + bd.fp + bd.fn + eps
     lin = 2.0 / denom

@@ -2,12 +2,14 @@
 
 Each encoder block is conv(KERNEL x KERNEL, "same" zero padding) + bias
 -> relu; 2x2 max pooling follows every block except the last. Every
-block's activation is tapped before its pool. The network computes the
-hypercolumn function: resize every tap bilinearly back to the input
-resolution, concatenate the taps, map each pixel's hypercolumn to one
-channel per class with a 1x1 convolution plus bias, and squash with an
-elementwise logistic into (0, 1). The convolutions in ops are bias-free:
-this module adds every bias and sums every bias gradient.
+block's activation is tapped before its pool; the backward re-pools each
+tap, as the forward caches no pooled copy (recomputing to save memory:
+Chen et al., arXiv:1604.06174). The network computes the hypercolumn
+function: resize every tap bilinearly back to the input resolution,
+concatenate the taps, map each pixel's hypercolumn to one channel per
+class with a 1x1 convolution plus bias, and squash with an elementwise
+logistic into (0, 1). The convolutions in ops are bias-free: this module
+adds every bias and sums every bias gradient.
 
 The hypercolumn itself is never built. The resize and the 1x1 head are
 both linear, so head(concat(resize(tap_i))) = sum_i resize(W_i tap_i) + b,
@@ -141,9 +143,9 @@ def _head_slice(w_a: np.ndarray, tap: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ForwardCache:
-    """Intermediates retained for the backward pass."""
+    """Intermediates for the backward pass, which re-pools the taps."""
 
-    block_inputs: list[np.ndarray]   # the image, then each pooled tap
+    image: np.ndarray                # the float64 input to block 1
     taps: list[np.ndarray]           # post-relu activations (pre-pool)
     probs: np.ndarray
 
@@ -157,14 +159,12 @@ def forward(params: ModelParams, cfg: EncoderConfig,
     params = check_params(params, cfg)
     h, w = image.shape[1], image.shape[2]
 
-    block_inputs, taps = [image], []
+    taps = []
     for i in range(cfg.block_count):
         block = f"block{i + 1}"
-        a = ops.relu(ops.conv2d(block_inputs[i], params[f"{block}.weight"], KERNEL // 2)
-                     + params[f"{block}.bias"][:, None, None])
-        taps.append(a)
-        if i + 1 < cfg.block_count:
-            block_inputs.append(ops.maxpool2d(a))
+        x = ops.maxpool2d(taps[i - 1]) if i > 0 else image
+        taps.append(ops.relu(ops.conv2d(x, params[f"{block}.weight"], KERNEL // 2)
+                             + params[f"{block}.bias"][:, None, None]))
 
     # Each tap's head slice at the tap's resolution; only the class maps
     # are resized to the input and summed onto the bias.
@@ -173,7 +173,7 @@ def forward(params: ModelParams, cfg: EncoderConfig,
                   for a, w_a in zip(taps, head)),
                  start=params["head.bias"][:, None, None])
     probs = ops.sigmoid(logits)
-    cache = ForwardCache(block_inputs, taps, probs)
+    cache = ForwardCache(image, taps, probs)
     return probs, cache
 
 
@@ -214,11 +214,11 @@ def backward(params: ModelParams, cfg: EncoderConfig, cache: ForwardCache,
         del g_tap
         block = f"block{i + 1}"
         grads[f"{block}.bias"] = g_z.sum(axis=(1, 2))
+        x = ops.maxpool2d(cache.taps[i - 1]) if i > 0 else cache.image
         g_x, grads[f"{block}.weight"] = ops.conv2d_backward(
-            cache.block_inputs[i], params[f"{block}.weight"], KERNEL // 2, g_z)
+            x, params[f"{block}.weight"], KERNEL // 2, g_z)
         if i > 0:
-            g_from_pool = ops.maxpool2d_backward(cache.taps[i - 1],
-                                                 cache.block_inputs[i], g_x)
+            g_from_pool = ops.maxpool2d_backward(cache.taps[i - 1], x, g_x)
     grads["head.weight"] = ops.concat_channels(g_head)
     return grads, g_x
 

@@ -200,7 +200,7 @@ def train(dataset: Sequence[Sample],
                 # Both stacks are temporaries, freed before the backward.
                 batch_loss, _, grad_stack = f1_loss_grad(
                     np.stack(preds),
-                    np.stack([dataset[i].truth for i in idx], dtype=np.float64),
+                    np.stack([dataset[i].truth for i in idx]),
                     cfg.eps)
 
                 grad_total = {name: np.zeros_like(p) for name, p in params.items()}

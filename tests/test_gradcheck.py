@@ -82,10 +82,10 @@ def test_conditioning_reads_the_biased_pre_activation():
     params["block1.weight"][...] = 0.0
     params["block1.bias"][...] = 0.5
     _, cache = model.forward(params, cfg, np.ones((1, 4, 4)))
-    assert checks._well_conditioned(params, cfg, cache)
+    assert checks._well_conditioned(params, cache)
     params["block1.bias"][...] = 0.0
     _, cache = model.forward(params, cfg, np.ones((1, 4, 4)))
-    assert not checks._well_conditioned(params, cfg, cache)
+    assert not checks._well_conditioned(params, cache)
 
 
 @pytest.mark.parametrize("seed", [-1, -1000])

@@ -41,10 +41,12 @@ class TestFuzzyCounts:
 
     def test_rejects_non_binary_truth(self):
         pred = np.zeros((4, 2, 2))
-        with pytest.raises(ValueError, match="binary"):
-            f1_loss(pred, np.full_like(pred, 0.3))
-        with pytest.raises(ValueError, match="binary"):
-            f1_loss_grad(pred, np.full_like(pred, 0.3))
+        # A uint8 mask is read as stored, so a 2 in it fails as 0.3 does.
+        for truth in (np.full_like(pred, 0.3), np.full(pred.shape, 2, np.uint8)):
+            with pytest.raises(ValueError, match="binary"):
+                f1_loss(pred, truth)
+            with pytest.raises(ValueError, match="binary"):
+                f1_loss_grad(pred, truth)
 
 
 class TestF1Loss:
@@ -209,6 +211,32 @@ class TestF1Grad:
             assert grad.tobytes() == want.tobytes()
             negative_zeros += np.signbit(grad[grad == 0.0]).sum()
         assert negative_zeros > 0
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.bool_])
+    def test_truth_dtype_changes_no_byte(self, dtype, batched):
+        # train passes the stored uint8 masks; each product, difference and
+        # comparison with a float64 operand casts 0 and 1 exactly.
+        rng = np.random.default_rng(63)
+        shape = (3, 4, 6, 5) if batched else (4, 6, 5)
+        pred = rng.random(shape)
+        truth = (rng.random(shape) < 0.4).astype(np.float64)
+        cls = (slice(None),) * batched
+        pred[cls + (0,)] = 0.0  # class 0 has no true positive: -0.0 at t = 0
+        pred[cls + (1, 0)] = 1.0
+        truth[cls + (2,)] = 0.0
+        want_loss, want_bd, want_grad = f1_loss_grad(pred, truth)
+        assert np.signbit(want_grad[want_grad == 0.0]).any()
+        loss, bd = f1_loss(pred, truth.astype(dtype))
+        grad_loss, grad_bd, grad = f1_loss_grad(pred, truth.astype(dtype))
+        assert loss == grad_loss == want_loss
+        for name in ("tp", "fp", "fn", "f1_term"):
+            want = getattr(want_bd, name)
+            for got in (getattr(bd, name), getattr(grad_bd, name)):
+                assert got.dtype == want.dtype, name
+                assert got.tobytes() == want.tobytes(), name
+        assert grad.dtype == np.float64
+        assert grad.tobytes() == want_grad.tobytes()
 
     def test_all_negative_truth_gradient_sign(self):
         # With truth 0 everywhere in class c, d(loss)/d(pred_j) = tp/(2 D^2) >= 0.

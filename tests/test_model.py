@@ -1,5 +1,6 @@
 """Hypercolumn network tests: architecture bookkeeping, gradients, serialization."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import dermfeat
 from dermfeat import model, ops
+from dermfeat.cli import main
 from dermfeat.gradcheck import gradcheck
 from dermfeat.loss import f1_loss, f1_loss_grad
 from dermfeat.model import (KERNEL, WEIGHTS_MAGIC, EncoderConfig,
@@ -175,16 +177,46 @@ class TestForward:
         head = ops.split_channels(params["head.weight"], list(cfg.channels))
         assert [w.shape for w in head] == [(4, c, 1, 1) for c in cfg.channels]
 
-    def test_block_inputs_rebuilt_exactly_from_taps(self):
+    def test_cache_keeps_no_pooled_input_and_backward_repools_the_taps(
+            self, tmp_path, monkeypatch):
         cfg = EncoderConfig(channels=(4, 6, 8), in_channels=3)
+        rng = np.random.default_rng(52)
         params = init_params(cfg, 3)
-        image = np.random.default_rng(52).random((3, 16, 16))
-        _, cache = forward(params, cfg, image)
-        assert len(cache.block_inputs) == cfg.block_count
-        assert np.shares_memory(cache.block_inputs[0], image)
-        for i in (1, 2):
-            pooled, _ = maxpool2d_oracle(cache.taps[i - 1])
-            assert cache.block_inputs[i].tobytes() == pooled.tobytes()
+        image = rng.random((3, 16, 16))
+        grad_probs = rng.normal(size=(4, 16, 16))
+        probs, cache = forward(params, cfg, image)
+        # The image itself, the taps and the output: no pooled copy.
+        assert [f.name for f in dataclasses.fields(cache)] == [
+            "image", "taps", "probs"]
+        assert np.shares_memory(cache.image, image)
+        assert [a.shape for a in cache.taps] == [(4, 16, 16), (6, 8, 8),
+                                                 (8, 4, 4)]
+        assert cache.probs is probs
+
+        # conv_head_composition keeps every pooled block input from its
+        # own forward; the re-pooled ones give the same bytes.
+        def pooled_input_backward(params, cfg, cache, grad_probs):
+            return conv_head_composition(params, cfg, cache.image,
+                                         grad_probs)[1:]
+
+        grads, g_img = model.backward(params, cfg, cache, grad_probs)
+        want_grads, want_g_img = pooled_input_backward(params, cfg, cache,
+                                                       grad_probs)
+        assert list(grads) == list(want_grads)
+        for name in grads:
+            assert grads[name].tobytes() == want_grads[name].tobytes(), name
+        assert g_img.tobytes() == want_g_img.tobytes()
+
+        # So does the gradcheck report, whose model checks call backward.
+        reports = []
+        for out in ("repooled", "pooled-inputs"):
+            if out == "pooled-inputs":
+                monkeypatch.setattr(model, "backward", pooled_input_backward)
+            assert main(["gradcheck", "--instances", "1",
+                         "--out", str(tmp_path / out)]) == 0
+            reports.append((tmp_path / out / "gradcheck_report.json")
+                           .read_bytes())
+        assert reports[0] == reports[1]
 
     def test_output_shape_tracks_input(self):
         params = init_params(TINY, 2)
@@ -416,6 +448,7 @@ _DETERMINISM_SCRIPT = """
 import hashlib, json, os
 import numpy as np
 from dermfeat import model, ops
+from dermfeat.cli import main
 from dermfeat.loss import f1_loss_grad
 bands = []  # one count per conv2d_backward call; the forward runs first
 def columns(*args, _columns=ops._columns):
@@ -457,7 +490,11 @@ def test_identical_bytes_across_blas_thread_counts():
                               timeout=60, check=True)
         runs[threads] = json.loads(done.stdout)
     one, two = runs["1"], runs["2"]
-    if one["threads"] is not None and (os.cpu_count() or 1) >= 2:
+    # OpenBLAS starts no more threads than the CPUs in the affinity, as
+    # train.image_map counts them.
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if one["threads"] is not None and cpus >= 2:
         assert two["threads"] > one["threads"]  # the variable took effect
     # Blocks 5 to 1: bands join in the weight and input gradients.
     assert one["bands"] == two["bands"] == [1, 1, 2, 4, 4]

@@ -2,6 +2,7 @@
 
 import os
 import threading
+import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError, replace
 
@@ -203,20 +204,21 @@ class TestTrain:
     def test_loss_checks_and_counts_each_batch_once(self, tiny_dataset,
                                                      monkeypatch):
         # f1_loss is replaced wherever train or f1_loss_grad looks it up,
-        # so every checked and counted pass over a batch is recorded.
+        # so every checked and counted pass over a batch is recorded, with
+        # the dtype its truth masks reach it in: as stored, not float64.
         import dermfeat.loss as loss_mod
         calls = []
         real_loss = loss_mod.f1_loss
 
         def counting_loss(pred, truth, eps):
-            calls.append(pred.shape[0])
+            calls.append((pred.shape[0], truth.dtype))
             return real_loss(pred, truth, eps)
 
         monkeypatch.setattr(loss_mod, "f1_loss", counting_loss)
         monkeypatch.setattr(train_mod, "f1_loss", counting_loss, raising=False)
         train(tiny_dataset, tiny_config(batch_size=4, epochs=3))
         # 6 samples in batches of 4: sizes 4 and 2 in each of 3 epochs.
-        assert calls == [4, 2] * 3
+        assert calls == [(4, np.uint8), (2, np.uint8)] * 3
 
     def test_non_finite_update_fails_fast_naming_tensor(self, tiny_dataset,
                                                         monkeypatch):
@@ -234,6 +236,28 @@ class TestTrain:
         with pytest.raises(FloatingPointError,
                            match="epoch 2, batch 1: head.bias is not finite"):
             train(tiny_dataset, tiny_config())
+
+    def test_peak_grows_by_cache_and_loss_gradient_per_batch_pixel(
+            self, tmp_path):
+        # Through a batch's backward, train holds each image's forward
+        # cache (the float64 image, the taps and the output: 178 bytes a
+        # pixel for the default encoder) and the loss gradient (32), one
+        # backward's temporaries aside; measured: 209-210 bytes per added
+        # batch pixel. A cache that also kept each pooled block input (30
+        # more) took 239-240.
+        data.generate(SynthSpec(image_size=64, cell=8, seed=4), 8, tmp_path)
+        dataset = data.load(tmp_path / "manifest.json")
+
+        def peak(batch_size):
+            tracemalloc.start()
+            try:
+                train(dataset, TrainConfig(batch_size=batch_size, epochs=1,
+                                           seed=1))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert (peak(8) - peak(2)) / (6 * 64 * 64) < 225
 
     def test_report_json_excludes_wall_time_by_default(self, tiny_dataset):
         _, report = train(tiny_dataset, tiny_config())
