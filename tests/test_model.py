@@ -448,7 +448,6 @@ _DETERMINISM_SCRIPT = """
 import hashlib, json, os
 import numpy as np
 from dermfeat import model, ops
-from dermfeat.cli import main
 from dermfeat.loss import f1_loss_grad
 bands = []  # one count per conv2d_backward call; the forward runs first
 def columns(*args, _columns=ops._columns):
