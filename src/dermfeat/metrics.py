@@ -92,7 +92,7 @@ def evaluate(predictions, truths, sample_ids=None) -> RocResult:
     elif len(sample_ids) != len(predictions):
         raise ValueError(f"{len(sample_ids)} sample ids but "
                          f"{len(predictions)} prediction sets")
-    pooled_scores, pooled_labels = [], []
+    checked = []
     for sid, pred, truth in zip(sample_ids, predictions, truths):
         pred = np.asarray(pred, dtype=np.float64)
         truth = np.asarray(truth, dtype=np.float64)
@@ -104,17 +104,17 @@ def evaluate(predictions, truths, sample_ids=None) -> RocResult:
             raise ValueError(f"{sid}: prediction scores must be finite")
         if not ((pred >= 0.0) & (pred <= 1.0)).all():
             raise ValueError(f"{sid}: prediction scores must lie in [0, 1]")
-        pooled_scores.append(pred)
-        pooled_labels.append(truth)
-    scores = np.concatenate(pooled_scores, axis=0)
-    labels = np.concatenate(pooled_labels, axis=0)
+        checked.append((pred, truth))
 
     per_class: list[ClassRoc] = []
     defined: list[float] = []
     for c in range(CLASS_COUNT):
-        p = int((labels[:, c] == 1.0).sum())
-        n = int(labels.shape[0] - p)
-        value = auroc(scores[:, c], labels[:, c])
+        # One class's pool at a time, contiguous, so auroc copies neither.
+        scores = np.concatenate([pred[:, c] for pred, _ in checked])
+        labels = np.concatenate([truth[:, c] for _, truth in checked])
+        p = int((labels == 1.0).sum())
+        n = int(labels.size - p)
+        value = auroc(scores, labels)
         if math.isnan(value):
             per_class.append(ClassRoc(CLASS_NAMES[c], None, p, n))
         else:

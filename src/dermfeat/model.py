@@ -198,6 +198,15 @@ def backward(params: ModelParams, cfg: EncoderConfig, cache: ForwardCache,
     head = ops.split_channels(params["head.weight"], list(cfg.channels))
     g_head = [None] * cfg.block_count
 
+    # Each gradient is dropped at its last use (Chen et al.,
+    # arXiv:1604.06174): with one backward per thread, the peak is every
+    # thread's live set at once. Between blocks only g_logits, the head
+    # gradients and g_from_pool (the next tap's gradient, routed through
+    # its pool) stay live; within block i, g_tap, then g_z, then x with
+    # g_x each live until the next is formed. The peak sits where block
+    # 2's g_x is routed to block 1's resolution: g_logits, x, g_x, the
+    # full-size g_from_pool and the pool's temporaries, 172 bytes a pixel
+    # at 256 px with the default encoder.
     g_from_pool = 0.0
     for i in reversed(range(cfg.block_count)):
         tap = cache.taps[i]
@@ -205,10 +214,11 @@ def backward(params: ModelParams, cfg: EncoderConfig, cache: ForwardCache,
         g = ops.bilinear_resize_backward(g_logits, th, tw).reshape(CLASS_COUNT, -1)
         g_head[i] = (g @ tap.reshape(c, -1).T)[:, :, None, None]
         g_tap = (head[i][:, :, 0, 0].T @ g).reshape(c, th, tw)
+        del g
+        if i == 0:
+            del g_logits  # block 1's head slice was its last use
         g_tap += g_from_pool
-        # Each temporary is dropped once used: with one backward per
-        # thread, the peak is every thread's live set at once.
-        del g, g_from_pool
+        del g_from_pool
         # relu(z) > 0 exactly where z > 0, so the tap masks like z.
         g_z = ops.relu_backward(tap, g_tap)
         del g_tap
@@ -217,8 +227,10 @@ def backward(params: ModelParams, cfg: EncoderConfig, cache: ForwardCache,
         x = ops.maxpool2d(cache.taps[i - 1]) if i > 0 else cache.image
         g_x, grads[f"{block}.weight"] = ops.conv2d_backward(
             x, params[f"{block}.weight"], KERNEL // 2, g_z)
+        del g_z
         if i > 0:
             g_from_pool = ops.maxpool2d_backward(cache.taps[i - 1], x, g_x)
+            del x, g_x
     grads["head.weight"] = ops.concat_channels(g_head)
     return grads, g_x
 

@@ -41,8 +41,11 @@ class TestFuzzyCounts:
 
     def test_rejects_non_binary_truth(self):
         pred = np.zeros((4, 2, 2))
-        # A uint8 mask is read as stored, so a 2 in it fails as 0.3 does.
-        for truth in (np.full_like(pred, 0.3), np.full(pred.shape, 2, np.uint8)):
+        # An integer mask is read as stored, so a 2 or a -1 in it fails as
+        # 0.3 does.
+        for truth in (np.full_like(pred, 0.3), np.full(pred.shape, 2, np.uint8),
+                      np.full(pred.shape, 2, np.uint16),
+                      np.full(pred.shape, -1, np.int8)):
             with pytest.raises(ValueError, match="binary"):
                 f1_loss(pred, truth)
             with pytest.raises(ValueError, match="binary"):

@@ -1,6 +1,7 @@
 """AUROC tests: oracle equivalence, tie handling, pooled evaluation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,22 @@ class TestEvaluate:
         merged = evaluate([np.concatenate(preds)], [np.concatenate(truths)])
         for a, b in zip(pooled.per_class, merged.per_class):
             assert a.auroc == b.auroc
+
+    def test_traced_peak_per_superpixel(self):
+        # Each class is pooled straight from the per-image tables, 89 bytes
+        # a superpixel at peak; concatenating the [N,4] tables first, then
+        # copying each strided column, read 153.
+        rng = np.random.default_rng(67)
+        truths = [(rng.random((1024, 4)) < 0.3).astype(np.float64)
+                  for _ in range(16)]
+        preds = [rng.random((1024, 4)) for _ in range(16)]
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            evaluate(preds, truths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (16 * 1024) < 120
 
     def test_mismatch_names_the_image(self):
         with pytest.raises(ValueError, match="sample_7"):

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -302,6 +303,24 @@ class TestBackward:
         _, cache = forward(params, TINY, rng.random((1, 8, 8)))
         with pytest.raises(ValueError, match="grad_probs"):
             model.backward(params, TINY, cache, np.zeros((4, 6, 6)))
+
+    def test_traced_peak_per_pixel_at_256px(self):
+        # Each gradient is dropped at its last use. The peak, 172 bytes a
+        # pixel above the cache and grad_probs, sits where block 2's input
+        # gradient is routed to block 1's resolution; keeping block 2's
+        # g_z, or its x and g_x, live there reads 204 or 200.
+        cfg = EncoderConfig()
+        rng = np.random.default_rng(58)
+        params = init_params(cfg, 9)
+        probs, cache = forward(params, cfg, rng.random((3, 256, 256)))
+        grad_probs = rng.normal(size=probs.shape)
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            model.backward(params, cfg, cache, grad_probs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (256 * 256) < 190
 
     def test_end_to_end_loss_gradient(self):
         rng = np.random.default_rng(57)
