@@ -200,13 +200,8 @@ def backward(params: ModelParams, cfg: EncoderConfig, cache: ForwardCache,
 
     # Each gradient is dropped at its last use (Chen et al.,
     # arXiv:1604.06174): with one backward per thread, the peak is every
-    # thread's live set at once. Between blocks only g_logits, the head
-    # gradients and g_from_pool (the next tap's gradient, routed through
-    # its pool) stay live; within block i, g_tap, then g_z, then x with
-    # g_x each live until the next is formed. The peak sits where block
-    # 2's g_x is routed to block 1's resolution: g_logits, x, g_x, the
-    # full-size g_from_pool and the pool's temporaries, 172 bytes a pixel
-    # at 256 px with the default encoder.
+    # thread's live set at once. It sits where block 2's g_x is routed
+    # through the pool to block 1's resolution.
     g_from_pool = 0.0
     for i in reversed(range(cfg.block_count)):
         tap = cache.taps[i]
