@@ -86,7 +86,8 @@ def check_model_params(seed: int, *, step: float = 1e-5,
         return f1_loss(probs, truth)[0]
 
     _, _, grad_probs = f1_loss_grad(probs, truth)
-    grad_params, _ = model.backward(params, cfg, cache, grad_probs)
+    grad_params, _ = model.backward(params, cfg, cache,
+                                    ops.sigmoid_backward(probs, grad_probs))
     return gradcheck(value, model.flatten_params(params),
                      model.flatten_params(grad_params),
                      step=step, tolerance=tolerance)
@@ -102,7 +103,8 @@ def check_model_input(seed: int, *, step: float = 1e-5,
         return f1_loss(probs, truth)[0]
 
     _, _, grad_probs = f1_loss_grad(probs, truth)
-    _, grad_image = model.backward(params, cfg, cache, grad_probs)
+    _, grad_image = model.backward(params, cfg, cache,
+                                   ops.sigmoid_backward(probs, grad_probs))
     return gradcheck(value, image, grad_image, step=step, tolerance=tolerance)
 
 

@@ -9,7 +9,10 @@ function: resize every tap bilinearly back to the input resolution,
 concatenate the taps, map each pixel's hypercolumn to one channel per
 class with a 1x1 convolution plus bias, and squash with an elementwise
 logistic into (0, 1). The convolutions in ops are bias-free: this module
-adds every bias and sums every bias gradient.
+adds every bias and sums every bias gradient. The backward starts from
+the gradient of the logits: the caller chains its loss gradient through
+the logistic (ops.sigmoid_backward) with the probabilities it holds, so
+the cache keeps no output.
 
 The hypercolumn itself is never built. The resize and the 1x1 head are
 both linear, so head(concat(resize(tap_i))) = sum_i resize(W_i tap_i) + b,
@@ -143,11 +146,11 @@ def _head_slice(w_a: np.ndarray, tap: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ForwardCache:
-    """Intermediates for the backward pass, which re-pools the taps."""
+    """Intermediates for the backward pass, which re-pools the taps. No
+    output: the backward takes the logits' gradient."""
 
     image: np.ndarray                # the float64 input to block 1
     taps: list[np.ndarray]           # post-relu activations (pre-pool)
-    probs: np.ndarray
 
 
 def forward(params: ModelParams, cfg: EncoderConfig,
@@ -172,27 +175,27 @@ def forward(params: ModelParams, cfg: EncoderConfig,
     logits = sum((ops.bilinear_resize(_head_slice(w_a, a), h, w)
                   for a, w_a in zip(taps, head)),
                  start=params["head.bias"][:, None, None])
-    probs = ops.sigmoid(logits)
-    cache = ForwardCache(image, taps, probs)
-    return probs, cache
+    return ops.sigmoid(logits), ForwardCache(image, taps)
 
 
 def backward(params: ModelParams, cfg: EncoderConfig, cache: ForwardCache,
-             grad_probs: np.ndarray) -> tuple[ModelParams, np.ndarray]:
-    """Exact gradients of sum(grad_probs * probs) w.r.t. params and image.
+             grad_logits: np.ndarray) -> tuple[ModelParams, np.ndarray]:
+    """Exact gradients of sum(grad_logits * logits) w.r.t. params and
+    image, where probs = sigmoid(logits); a loss gradient w.r.t. probs
+    is chained first by ops.sigmoid_backward(probs, grad_probs).
 
     Returns (grad_params, grad_image); grad_params has the names and
-    order of params. grad_probs and params are coerced to float64 here,
+    order of params. grad_logits and params are coerced to float64 here,
     as in forward, so every gradient is float64.
     """
     params = check_params(params, cfg)
-    grad_probs = as_f64(grad_probs)
-    if grad_probs.shape != cache.probs.shape:
+    g_logits = as_f64(grad_logits)
+    want = (CLASS_COUNT, *cache.image.shape[1:])
+    if g_logits.shape != want:
         raise ValueError(
-            f"grad_probs shape {grad_probs.shape} does not match cached "
-            f"output shape {cache.probs.shape}")
+            f"grad_logits shape {g_logits.shape} does not match the cached "
+            f"image's output shape {want}")
 
-    g_logits = ops.sigmoid_backward(cache.probs, grad_probs)
     grads = dict.fromkeys(params)
     grads["head.bias"] = g_logits.sum(axis=(1, 2))
     head = ops.split_channels(params["head.weight"], list(cfg.channels))
@@ -200,8 +203,9 @@ def backward(params: ModelParams, cfg: EncoderConfig, cache: ForwardCache,
 
     # Each gradient is dropped at its last use (Chen et al.,
     # arXiv:1604.06174): with one backward per thread, the peak is every
-    # thread's live set at once. It sits where block 2's g_x is routed
-    # through the pool to block 1's resolution.
+    # thread's live set at once. It sits in block 1's relu_backward, where
+    # g_tap and g_z are both live at full resolution; g_logits is the
+    # caller's.
     g_from_pool = 0.0
     for i in reversed(range(cfg.block_count)):
         tap = cache.taps[i]
@@ -210,8 +214,6 @@ def backward(params: ModelParams, cfg: EncoderConfig, cache: ForwardCache,
         g_head[i] = (g @ tap.reshape(c, -1).T)[:, :, None, None]
         g_tap = (head[i][:, :, 0, 0].T @ g).reshape(c, th, tw)
         del g
-        if i == 0:
-            del g_logits  # block 1's head slice was its last use
         g_tap += g_from_pool
         del g_from_pool
         # relu(z) > 0 exactly where z > 0, so the tap masks like z.

@@ -7,7 +7,7 @@ All operations are pure functions over float64 numpy arrays with layout
 strides, of well-formed shapes, and check neither dtype nor shape: a
 mismatched operand may broadcast silently. Data is coerced and checked
 once where it enters: model.forward checks the image and the params,
-model.backward the params and grad_probs, and every operand shape the
+model.backward the params and grad_logits, and every operand shape the
 model passes here follows from those. The loss, superpixel scoring, the
 metrics and gradcheck coerce their own inputs.
 
@@ -30,15 +30,15 @@ Convolution is lowered to BLAS (Chellapilla et al., High Performance
 Convolutional Neural Networks for Document Processing, 2006). The input
 is zero-padded once and flattened to [C_in, N] with padded row length
 Wp. Computing every output row at the full width Wp makes each kernel
-tap read one contiguous column range. The forward copies the kh*kw
-ranges into one [kh*kw*C_in, out_h*Wp] column block (im2col) and forms
-one [C_out, kh*kw*C_in] matmul with it. The backward builds the same
-block a row band at a time, each band of bounded size as in MEC's
-memory-bounded lowering (Cho & Brand, arXiv:1706.06873), and forms two
-matmuls per band (conv2d_backward says how). The kw-1 columns per row
-whose windows wrap into the next row are dropped from the forward's
-result, a view of the product, and held at zero in the backward pass's
-output gradient.
+tap read one contiguous column range. Both passes copy the kh*kw ranges
+of a row band of the output into a [kh*kw*C_in, rows*Wp] column block
+(im2col), one band at a time, each band of bounded size as in MEC's
+memory-bounded lowering (Cho & Brand, arXiv:1706.06873). The forward
+forms one [C_out, kh*kw*C_in] matmul per band, written into the band's
+columns of the output; the backward forms two (conv2d_backward says
+how). The kw-1 columns per row whose windows wrap into the next row are
+dropped from the forward's result, a view of the output, and held at
+zero in the backward pass's output gradient.
 """
 
 from __future__ import annotations
@@ -89,6 +89,24 @@ def _columns(flat: np.ndarray, wp: int, start: int,
     return cols.reshape(-1, n)
 
 
+# The row bands of both conv passes: the largest whole multiple of
+# BAND_ROWS output rows whose column block holds at most BAND_ENTRIES
+# float64s (1 MiB), but at least BAND_ROWS rows, and at most the whole
+# output. A band of BAND_ROWS rows spans BAND_ROWS * Wp flat columns:
+# OpenBLAS gave the same bytes with one thread or two for products whose
+# long dimension is a multiple of 16, and not for others, such as bands
+# of 37 rows.
+BAND_ENTRIES = 1 << 17
+BAND_ROWS = 16
+
+
+def _band_rows(out_h: int, depth: int, wp: int) -> int:
+    """Output rows per band for a column block of `depth` rows and
+    padded width wp."""
+    fit = BAND_ENTRIES // (depth * wp) // BAND_ROWS * BAND_ROWS
+    return min(max(fit, BAND_ROWS), out_h)
+
+
 def conv2d(x: np.ndarray, weights: np.ndarray, padding: int) -> np.ndarray:
     """Bias-free 2D cross-correlation of x [C_in,H,W] with weights
     [C_out,C_in,kh,kw] at every offset, after zero-padding x by `padding`
@@ -96,32 +114,31 @@ def conv2d(x: np.ndarray, weights: np.ndarray, padding: int) -> np.ndarray:
 
     Each output element is the sum over the C_in x kh x kw window of
     elementwise products. Output pixel (i, j) of tap (ki, kj) reads flat
-    column (i+ki)*Wp + j+kj of the padded input, so one [kh*kw*C_in,
-    out_h*Wp] column block of the whole output holds every window. The
-    output is one product of the weights, as a [C_out, kh*kw*C_in] matrix
-    in the block's (ki, kj, c) order, with that block; each output is then
-    one BLAS sum over kh*kw*C_in terms. The last kw-1 columns per row hold
-    wrapped windows and are dropped. The result is that crop, a view of
-    the product: it is C-contiguous only when kw == 1.
+    column (i+ki)*Wp + j+kj of the padded input, so a [kh*kw*C_in,
+    rows*Wp] column block holds every window of a band of output rows.
+    The output is walked in conv2d_backward's row bands, top to bottom:
+    a band's columns of the [C_out, out_h*Wp] output are one product of
+    the weights, as a [C_out, kh*kw*C_in] matrix in the block's (ki, kj,
+    c) order, with the band's block, so each output is one BLAS sum over
+    kh*kw*C_in terms. One buffer per call holds a band's block: block 1
+    at 256 px (3 to 8 channels) peaks at 6.7 MB under tracemalloc, 4.2 MB
+    of it the output, where one whole-output block would need 20.1 MB.
+    The last kw-1 columns per row hold wrapped windows and are dropped.
+    The result is that crop, a view of the output: it is C-contiguous
+    only when kw == 1.
     """
     out_h, out_w = _conv_output_size(x, weights, padding)
 
     flat, wp = _padded_flat(x, padding)
-    n = out_h * wp
     c_out, c_in, kh, kw = weights.shape
     w = weights.transpose(0, 2, 3, 1).reshape(c_out, -1)
-    out = w @ _columns(flat, wp, 0, np.empty((kh, kw, c_in, n)))
+    band = _band_rows(out_h, w.shape[1], wp)
+    out = np.empty((c_out, out_h * wp))
+    block = np.empty((kh, kw, c_in, band * wp))
+    for r0 in range(0, out_h, band):
+        s, n = r0 * wp, min(band, out_h - r0) * wp
+        np.matmul(w, _columns(flat, wp, s, block[..., :n]), out=out[:, s:s + n])
     return out.reshape(c_out, out_h, wp)[:, :, :out_w]
-
-
-# conv2d_backward's row bands: the largest whole multiple of BAND_ROWS
-# output rows whose column block holds at most BAND_ENTRIES float64s
-# (1 MiB), but at least BAND_ROWS rows, and at most the whole output. A
-# band of BAND_ROWS rows spans BAND_ROWS * Wp flat columns: OpenBLAS gave
-# the same bytes with one thread or two for products whose long dimension
-# is a multiple of 16, and not for others, such as bands of 37 rows.
-BAND_ENTRIES = 1 << 17
-BAND_ROWS = 16
 
 
 def conv2d_backward(x: np.ndarray, weights: np.ndarray, padding: int,
@@ -151,8 +168,7 @@ def conv2d_backward(x: np.ndarray, weights: np.ndarray, padding: int,
     c_out, _, kh, kw = weights.shape
     flat, wp = _padded_flat(x, p)
     w = weights.transpose(0, 2, 3, 1).reshape(c_out, -1)
-    fit = BAND_ENTRIES // (w.shape[1] * wp) // BAND_ROWS * BAND_ROWS
-    band = min(max(fit, BAND_ROWS), out_h)
+    band = _band_rows(out_h, w.shape[1], wp)
     grad_flat = np.zeros_like(flat)
     grad_w = np.zeros_like(weights)
     g_band = np.zeros((c_out, band, wp))  # wrapped columns stay zero

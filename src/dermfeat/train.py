@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import model
+from . import model, ops
 from .data import Sample, input_image
 from .loss import f1_loss_grad
 from .model import EncoderConfig, ModelParams
@@ -197,11 +197,18 @@ def train(dataset: Sequence[Sample],
                 _check_finite(epoch, batch, {
                     f"prediction for {dataset[i].name!r}": probs
                     for i, probs in zip(idx, preds)})
-                # Both stacks are temporaries, freed before the backward.
+                # The caches keep no probabilities, so the stack is the
+                # loss's only copy. Each image's gradient is chained
+                # through the logistic in place, one image at a time: a
+                # batch-wide sigmoid_backward makes two batch-sized
+                # temporaries. The stack is freed before the backward.
+                stack = np.stack(preds)
+                del preds
                 batch_loss, _, grad_stack = f1_loss_grad(
-                    np.stack(preds),
-                    np.stack([dataset[i].truth for i in idx]),
-                    cfg.eps)
+                    stack, np.stack([dataset[i].truth for i in idx]), cfg.eps)
+                for j in range(len(idx)):
+                    grad_stack[j] = ops.sigmoid_backward(stack[j], grad_stack[j])
+                del stack
 
                 grad_total = {name: np.zeros_like(p) for name, p in params.items()}
                 for grads in each(lambda j: model.backward(
@@ -213,7 +220,7 @@ def train(dataset: Sequence[Sample],
                 # stays: freeing it too let malloc trim the heap top, and
                 # the next forward faulted it back in (5.7x the minor
                 # page faults per 64 px train).
-                del preds, caches
+                del caches
                 for p, v, g in zip(params.values(), velocity.values(),
                                    grad_total.values()):
                     v *= cfg.momentum

@@ -113,3 +113,24 @@ def f1_two_pass_oracle(pred, truth, eps=1.0):
     lin = (2.0 / denom).reshape(shape)
     const = (2.0 * tp_g / denom ** 2).reshape(shape)
     return loss, tp, fp, fn, terms, -(t * lin - const) / tp_g.size
+
+
+def conv2d_single_product_oracle(x, w, p):
+    """ops.conv2d as one product for the whole output: every output row
+    at the padded width Wp, so tap (ki, kj) reads the flat columns
+    ki*Wp+kj onward of the input padded by p (plus one zero row below,
+    keeping the last tap in bounds); the taps' slices stacked in (ki, kj,
+    c) order into one [kh*kw*C_in, out_h*Wp] im2col block, one matmul
+    with the weights in that order, and the kw-1 wrapped columns per row
+    cropped. A banded conv2d gives its bytes where each band's product
+    rounds as the whole product's columns do."""
+    c_out, c_in, kh, kw = w.shape
+    out_h = x.shape[1] + 2 * p - kh + 1
+    out_w = x.shape[2] + 2 * p - kw + 1
+    xp = np.pad(x, ((0, 0), (p, p + 1), (p, p)))
+    wp = xp.shape[2]
+    flat, n = xp.reshape(c_in, -1), out_h * wp
+    cols = np.concatenate([flat[:, ki * wp + kj:ki * wp + kj + n]
+                           for ki in range(kh) for kj in range(kw)])
+    out = w.transpose(0, 2, 3, 1).reshape(c_out, -1) @ cols
+    return out.reshape(c_out, out_h, wp)[:, :, :out_w]

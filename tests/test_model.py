@@ -32,11 +32,11 @@ from oracles import (maxpool2d_backward_oracle, maxpool2d_oracle,
 TINY = EncoderConfig(channels=(2, 2), in_channels=1)
 
 
-def hypercolumn_oracle(params, cfg, image, grad_probs):
+def hypercolumn_oracle(params, cfg, image, grad_logits):
     """The network with the hypercolumn built: resize every tap to the
-    input, concatenate, apply the 1x1 head, and back through the same
-    steps. The oracle adds each bias and sums each bias gradient itself.
-    Returns (probs, grads, grad_image)."""
+    input, concatenate, apply the 1x1 head, and back from the logits
+    through the same steps. The oracle adds each bias and sums each bias
+    gradient itself. Returns (probs, grads, grad_image)."""
     h, w = image.shape[1:]
     block_inputs, taps, argmaxes = [image], [], []
     for i in range(cfg.block_count):
@@ -52,10 +52,9 @@ def hypercolumn_oracle(params, cfg, image, grad_probs):
                         + params["head.bias"][:, None, None])
 
     grads = dict.fromkeys(params)
-    g_logits = ops.sigmoid_backward(probs, grad_probs)
-    grads["head.bias"] = g_logits.sum(axis=(1, 2))
+    grads["head.bias"] = grad_logits.sum(axis=(1, 2))
     g_hyper, grads["head.weight"] = ops.conv2d_backward(
-        hyper, params["head.weight"], 0, g_logits)
+        hyper, params["head.weight"], 0, grad_logits)
     g_resized = np.split(g_hyper, np.cumsum(cfg.channels)[:-1])
     g_from_pool = 0.0
     for i in reversed(range(cfg.block_count)):
@@ -71,11 +70,12 @@ def hypercolumn_oracle(params, cfg, image, grad_probs):
     return probs, grads, g_x
 
 
-def conv_head_composition(params, cfg, image, grad_probs):
+def conv_head_composition(params, cfg, image, grad_logits):
     """The factored head as the model once composed it: each 1x1 head
     slice through ops.conv2d / ops.conv2d_backward with padding 0, and
     every resize, same-size ones included, as explicit products with the
-    sampling matrices. Returns (probs, grads, grad_image)."""
+    sampling matrices; the backward starts from the logits. Returns
+    (probs, grads, grad_image)."""
     def resize(x, out_h, out_w):
         return (ops._resize_matrix(x.shape[1], out_h) @ x
                 @ ops._resize_matrix(x.shape[2], out_w).T)
@@ -98,13 +98,12 @@ def conv_head_composition(params, cfg, image, grad_probs):
                             start=params["head.bias"][:, None, None]))
 
     grads = dict.fromkeys(params)
-    g_logits = ops.sigmoid_backward(probs, grad_probs)
-    grads["head.bias"] = g_logits.sum(axis=(1, 2))
+    grads["head.bias"] = grad_logits.sum(axis=(1, 2))
     g_head = [None] * cfg.block_count
     g_from_pool = 0.0
     for i in reversed(range(cfg.block_count)):
         b = f"block{i + 1}"
-        g_map = resize_backward(g_logits, *taps[i].shape[1:])
+        g_map = resize_backward(grad_logits, *taps[i].shape[1:])
         g_tap, g_head[i] = ops.conv2d_backward(taps[i], head[i], 0, g_map)
         g_z = ops.relu_backward(taps[i], g_tap + g_from_pool)
         grads[f"{b}.bias"] = g_z.sum(axis=(1, 2))
@@ -186,23 +185,23 @@ class TestForward:
         image = rng.random((3, 16, 16))
         grad_probs = rng.normal(size=(4, 16, 16))
         probs, cache = forward(params, cfg, image)
-        # The image itself, the taps and the output: no pooled copy.
+        # The image itself and the taps: no pooled copy, no output.
         assert [f.name for f in dataclasses.fields(cache)] == [
-            "image", "taps", "probs"]
+            "image", "taps"]
         assert np.shares_memory(cache.image, image)
         assert [a.shape for a in cache.taps] == [(4, 16, 16), (6, 8, 8),
                                                  (8, 4, 4)]
-        assert cache.probs is probs
 
         # conv_head_composition keeps every pooled block input from its
         # own forward; the re-pooled ones give the same bytes.
-        def pooled_input_backward(params, cfg, cache, grad_probs):
+        def pooled_input_backward(params, cfg, cache, grad_logits):
             return conv_head_composition(params, cfg, cache.image,
-                                         grad_probs)[1:]
+                                         grad_logits)[1:]
 
-        grads, g_img = model.backward(params, cfg, cache, grad_probs)
+        grad_logits = ops.sigmoid_backward(probs, grad_probs)
+        grads, g_img = model.backward(params, cfg, cache, grad_logits)
         want_grads, want_g_img = pooled_input_backward(params, cfg, cache,
-                                                       grad_probs)
+                                                       grad_logits)
         assert list(grads) == list(want_grads)
         for name in grads:
             assert grads[name].tobytes() == want_grads[name].tobytes(), name
@@ -293,7 +292,8 @@ class TestBackward:
         image = rng.random((1, 8, 8))
         probs, cache = forward(params, TINY, image)
         grad_probs = rng.normal(size=probs.shape)
-        grads, _ = model.backward(params, TINY, cache, grad_probs)
+        grads, _ = model.backward(params, TINY, cache,
+                                  ops.sigmoid_backward(probs, grad_probs))
         expected = (grad_probs * probs * (1.0 - probs)).sum(axis=(1, 2))
         np.testing.assert_allclose(grads["head.bias"], expected, rtol=1e-12)
 
@@ -301,26 +301,28 @@ class TestBackward:
         rng = np.random.default_rng(56)
         params = init_params(TINY, 7)
         _, cache = forward(params, TINY, rng.random((1, 8, 8)))
-        with pytest.raises(ValueError, match="grad_probs"):
+        with pytest.raises(ValueError, match="grad_logits"):
             model.backward(params, TINY, cache, np.zeros((4, 6, 6)))
 
     def test_traced_peak_per_pixel_at_256px(self):
-        # Each gradient is dropped at its last use. The peak, 172 bytes a
-        # pixel above the cache and grad_probs, sits where block 2's input
-        # gradient is routed to block 1's resolution; keeping block 2's
-        # g_z, or its x and g_x, live there reads 204 or 200.
+        # Each gradient is dropped at its last use, and the logit
+        # gradient is the caller's (the cache is image 24 + taps 122
+        # bytes a pixel, the logit gradient 32). The peak, 144 bytes a
+        # pixel above those, sits in block 1's relu_backward; a backward
+        # that chained the gradient through the logistic itself, with
+        # its own 32-byte copy live there, read 172.
         cfg = EncoderConfig()
         rng = np.random.default_rng(58)
         params = init_params(cfg, 9)
         probs, cache = forward(params, cfg, rng.random((3, 256, 256)))
-        grad_probs = rng.normal(size=probs.shape)
+        grad_logits = rng.normal(size=probs.shape)
         tracemalloc.start()  # numpy reports its buffers to tracemalloc
         try:
-            model.backward(params, cfg, cache, grad_probs)
+            model.backward(params, cfg, cache, grad_logits)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / (256 * 256) < 190
+        assert peak / (256 * 256) < 160
 
     def test_end_to_end_loss_gradient(self):
         rng = np.random.default_rng(57)
@@ -331,8 +333,9 @@ class TestBackward:
         truth = (rng.random((4, 8, 8)) < 0.4).astype(np.float64)
 
         probs, cache = forward(params, TINY, image)
-        grads, g_img = model.backward(params, TINY, cache,
-                                      f1_loss_grad(probs, truth)[2])
+        grads, g_img = model.backward(
+            params, TINY, cache,
+            ops.sigmoid_backward(probs, f1_loss_grad(probs, truth)[2]))
 
         def loss_of_params(vec):
             p = unflatten_params(TINY, vec)
@@ -349,15 +352,15 @@ class TestBackward:
         assert rep.passed, rep.summary()
 
 
-def _fwd_bwd_bytes(params, cfg, image, grad_probs):
+def _fwd_bwd_bytes(params, cfg, image, grad_logits):
     """probs, each gradient and the image gradient: (dtype, bytes) pairs."""
     probs, cache = forward(params, cfg, image)
-    grads, g_img = model.backward(params, cfg, cache, grad_probs)
+    grads, g_img = model.backward(params, cfg, cache, grad_logits)
     return [(a.dtype, a.tobytes()) for a in (probs, *grads.values(), g_img)]
 
 
 class TestBoundaryCoercion:
-    """forward and backward coerce the image, grad_probs and params to
+    """forward and backward coerce the image, grad_logits and params to
     float64 once; the kernels take their operands as given. Any input
     gives the bytes of its float64 C-order copy."""
 
@@ -367,7 +370,7 @@ class TestBoundaryCoercion:
         rng = np.random.default_rng(59)
         self.params = init_params(self.CFG, 13)
         self.image = rng.integers(0, 256, (3, 16, 16)) / 255.0
-        self.grad_probs = rng.normal(size=(4, 16, 16))
+        self.grad_logits = rng.normal(size=(4, 16, 16))
 
     @pytest.mark.parametrize("make", [
         lambda x: x.astype(np.float32),
@@ -378,30 +381,30 @@ class TestBoundaryCoercion:
         image = make(self.image)
         reference = np.array(image, dtype=np.float64, order="C")
         assert image.dtype != np.float64 or not image.flags.c_contiguous
-        assert (_fwd_bwd_bytes(self.params, self.CFG, image, self.grad_probs)
+        assert (_fwd_bwd_bytes(self.params, self.CFG, image, self.grad_logits)
                 == _fwd_bwd_bytes(self.params, self.CFG, reference,
-                                  self.grad_probs))
+                                  self.grad_logits))
 
     def test_grad_probs_view_gives_bytes_of_its_copy(self):
-        view = np.ascontiguousarray(self.grad_probs.transpose(0, 2, 1)).transpose(0, 2, 1)
+        view = np.ascontiguousarray(self.grad_logits.transpose(0, 2, 1)).transpose(0, 2, 1)
         assert not view.flags.c_contiguous
         assert (_fwd_bwd_bytes(self.params, self.CFG, self.image, view)
                 == _fwd_bwd_bytes(self.params, self.CFG, self.image,
-                                  self.grad_probs))
+                                  self.grad_logits))
 
     def test_float32_params_give_float64_outputs_and_gradients(self):
         p32 = {name: a.astype(np.float32) for name, a in self.params.items()}
         p64 = {name: a.astype(np.float64) for name, a in p32.items()}
-        got = _fwd_bwd_bytes(p32, self.CFG, self.image, self.grad_probs)
+        got = _fwd_bwd_bytes(p32, self.CFG, self.image, self.grad_logits)
         assert all(dtype == np.float64 for dtype, _ in got)
-        assert got == _fwd_bwd_bytes(p64, self.CFG, self.image, self.grad_probs)
+        assert got == _fwd_bwd_bytes(p64, self.CFG, self.image, self.grad_logits)
 
     def test_backward_checks_params(self):
         _, cache = forward(self.params, self.CFG, self.image)
         params = dict(self.params)
         del params["head.bias"]
         with pytest.raises(ValueError, match="params do not match config"):
-            model.backward(params, self.CFG, cache, self.grad_probs)
+            model.backward(params, self.CFG, cache, self.grad_logits)
 
 
 class TestFactoredHead:
@@ -417,10 +420,11 @@ class TestFactoredHead:
         image = rng.random((cfg.in_channels, *hw))
         grad_probs = rng.normal(size=(4, *hw))
 
-        want_probs, want_grads, want_g_img = hypercolumn_oracle(
-            params, cfg, image, grad_probs)
         probs, cache = forward(params, cfg, image)
-        grads, g_img = model.backward(params, cfg, cache, grad_probs)
+        grad_logits = ops.sigmoid_backward(probs, grad_probs)
+        want_probs, want_grads, want_g_img = hypercolumn_oracle(
+            params, cfg, image, grad_logits)
+        grads, g_img = model.backward(params, cfg, cache, grad_logits)
 
         assert np.abs(probs - want_probs).max() <= 1e-14
         assert list(grads) == list(want_grads)
@@ -444,10 +448,11 @@ class TestFactoredHead:
         image = rng.random((cfg.in_channels, *hw))
         grad_probs = rng.normal(size=(4, *hw))
 
-        want_probs, want_grads, want_g_img = conv_head_composition(
-            params, cfg, image, grad_probs)
         probs, cache = forward(params, cfg, image)
-        grads, g_img = model.backward(params, cfg, cache, grad_probs)
+        grad_logits = ops.sigmoid_backward(probs, grad_probs)
+        want_probs, want_grads, want_g_img = conv_head_composition(
+            params, cfg, image, grad_logits)
+        grads, g_img = model.backward(params, cfg, cache, grad_logits)
 
         assert probs.tobytes() == want_probs.tobytes()
         assert list(grads) == list(want_grads)
@@ -483,7 +488,8 @@ rng = np.random.default_rng(21)
 image = rng.random((3, 128, 128))
 truth = (rng.random((4, 128, 128)) < 0.3).astype(np.float64)
 probs, cache = model.forward(params, cfg, image)
-grads, g_img = model.backward(params, cfg, cache, f1_loss_grad(probs, truth)[2])
+grads, g_img = model.backward(
+    params, cfg, cache, ops.sigmoid_backward(probs, f1_loss_grad(probs, truth)[2]))
 tensors = {"probs": probs, "image": g_img, **grads}
 tasks = "/proc/self/task"
 print(json.dumps({

@@ -8,8 +8,8 @@ import pytest
 
 from dermfeat import checks, model, ops
 from dermfeat.gradcheck import gradcheck
-from oracles import (maxpool2d_backward_oracle, maxpool2d_oracle,
-                     resize_backward_oracle, resize_oracle)
+from oracles import (conv2d_single_product_oracle, maxpool2d_backward_oracle,
+                     maxpool2d_oracle, resize_backward_oracle, resize_oracle)
 
 
 def conv2d_oracle(x, w, p):
@@ -64,6 +64,18 @@ def conv2d_tap_sum(x, w, p):
             window = xp[:, ki:ki + out_h, kj:kj + out_w].reshape(c_in, -1)
             acc += w[:, :, ki, kj] @ window
     return acc.reshape(c_out, out_h, out_w)
+
+
+def band_starts(monkeypatch):
+    """Record (start, n) of every column block ops builds."""
+    starts, columns = [], ops._columns
+
+    def recording(flat, wp, start, cols):
+        starts.append((start, cols.shape[-1]))
+        return columns(flat, wp, start, cols)
+
+    monkeypatch.setattr(ops, "_columns", recording)
+    return starts
 
 
 class StridedShape(tuple):
@@ -145,6 +157,36 @@ class TestConv2d:
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
             c_in, size = c_out, size // 2
 
+    @pytest.mark.parametrize("size, bands", [
+        (64, [64]), (256, [16] * 16), (80, [48, 32])],
+        ids=["one-band", "16-bands", "short-last-band"])
+    def test_bands_give_bytes_of_single_product(self, monkeypatch, size,
+                                                bands):
+        """Block 1's shape (3 to 8 channels): the banded output has the
+        bytes of one product over the whole output's column block."""
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(3, size, size))
+        w = rng.normal(size=(8, 3, 3, 3))
+        starts = band_starts(monkeypatch)
+        got = ops.conv2d(x, w, 1)
+        assert [n // (size + 2) for _, n in starts] == bands
+        assert got.tobytes() == conv2d_single_product_oracle(x, w, 1).tobytes()
+
+    def test_traced_peak_of_block1_at_256px(self):
+        # The output, the padded input and one band's column block peak
+        # at 6.7 MB here; one column block for the whole output took
+        # 20.1 MB.
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(3, 256, 256))
+        w = rng.normal(size=(8, 3, 3, 3))
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            ops.conv2d(x, w, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
 
 class TestConv2dBackward:
     def test_identity_kernel_passes_grad_through(self):
@@ -182,18 +224,6 @@ class TestConv2dBackward:
             np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13,
                                        err_msg=f"grad {name}")
 
-    @staticmethod
-    def band_starts(monkeypatch):
-        """Record (start, n) of every column block ops builds."""
-        starts, columns = [], ops._columns
-
-        def recording(flat, wp, start, cols):
-            starts.append((start, cols.shape[-1]))
-            return columns(flat, wp, start, cols)
-
-        monkeypatch.setattr(ops, "_columns", recording)
-        return starts
-
     @pytest.mark.parametrize("shape,kh,kw,padding", [
         ((2, 40, 7), 3, 3, 1), ((3, 40, 9), 2, 3, 0)])
     def test_bands_match_einsum_tap_loop(self, monkeypatch, shape, kh, kw,
@@ -208,7 +238,7 @@ class TestConv2dBackward:
         monkeypatch.setattr(ops, "BAND_ENTRIES",
                             ops.BAND_ROWS * kh * kw * shape[0] * wp)
         g = rng.normal(size=(4, out_h, out_w))
-        starts = self.band_starts(monkeypatch)
+        starts = band_starts(monkeypatch)
         got = ops.conv2d_backward(x, w, padding, g)
         assert starts == [(0, 16 * wp), (16 * wp, 16 * wp),
                           (32 * wp, (out_h - 32) * wp)]
@@ -225,7 +255,7 @@ class TestConv2dBackward:
         cfg = model.EncoderConfig()
         rng = np.random.default_rng(13)
         c_in, size = cfg.in_channels, 256
-        starts, bands = self.band_starts(monkeypatch), []
+        starts, bands = band_starts(monkeypatch), []
         for c_out in cfg.channels:
             x = rng.normal(size=(c_in, size, size))
             w = rng.normal(size=(c_out, c_in, model.KERNEL, model.KERNEL))
@@ -557,7 +587,7 @@ def _trace_model_path(monkeypatch, check):
     """Wrap every function in ops, as_f64 aside, so each call hands
     check(name, arguments by parameter name, result) to the test; then
     run a 64 px forward and backward of the default encoder, on float32
-    image, params and grad_probs, and the canned gradient-check suite.
+    image, params and grad_logits, and the canned gradient-check suite.
     Returns (names of the wrapped functions, names of those called)."""
     seen = set()
 
@@ -592,7 +622,7 @@ def _trace_model_path(monkeypatch, check):
 def test_model_path_feeds_kernels_float64_only(monkeypatch):
     """Kernels convert no operand, so every caller must pass float64:
     every function in ops sees only float64 arrays on the model path,
-    whose entry points coerce the float32 image, params and grad_probs."""
+    whose entry points coerce the float32 image, params and grad_logits."""
     bad = []
 
     def check(name, arguments, out):
@@ -645,7 +675,7 @@ SHAPE_CONTRACT = {
 
 def test_model_path_keeps_kernel_shape_contract(monkeypatch):
     """Kernels check no operand shape: the model's boundary checks of the
-    image, params and grad_probs must imply every relation they assume,
+    image, params and grad_logits must imply every relation they assume,
     so that a caller that breaks one fails here instead of broadcasting."""
     broken = []
 

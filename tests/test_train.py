@@ -225,8 +225,8 @@ class TestTrain:
         calls = []
         real_backward = model.backward
 
-        def overflowing_backward(params, cfg, cache, grad_probs):
-            grads, extra = real_backward(params, cfg, cache, grad_probs)
+        def overflowing_backward(params, cfg, cache, grad_logits):
+            grads, extra = real_backward(params, cfg, cache, grad_logits)
             calls.append(None)
             if len(calls) == 7:  # first sample of epoch 2, batch 1
                 grads["head.bias"][0] = np.inf
@@ -240,11 +240,12 @@ class TestTrain:
     def test_peak_grows_by_cache_and_loss_gradient_per_batch_pixel(
             self, tmp_path):
         # Through a batch's backward, train holds each image's forward
-        # cache (the float64 image, the taps and the output: 178 bytes a
-        # pixel for the default encoder) and the loss gradient (32), one
-        # backward's temporaries aside; measured: 209-210 bytes per added
-        # batch pixel. A cache that also kept each pooled block input (30
-        # more) took 239-240.
+        # cache (the float64 image 24 and the taps 122: 146 bytes a pixel
+        # for the default encoder) and the logit gradient (32), one
+        # backward's temporaries aside; measured: 178-180 bytes per added
+        # batch pixel. A cache that also kept the output (32 more) took
+        # 210-212, and one that also kept each pooled block input (30
+        # more again) 239-240.
         data.generate(SynthSpec(image_size=64, cell=8, seed=4), 8, tmp_path)
         dataset = data.load(tmp_path / "manifest.json")
 
@@ -257,7 +258,7 @@ class TestTrain:
             finally:
                 tracemalloc.stop()
 
-        assert (peak(8) - peak(2)) / (6 * 64 * 64) < 225
+        assert (peak(8) - peak(2)) / (6 * 64 * 64) < 195
 
     def test_report_json_excludes_wall_time_by_default(self, tiny_dataset):
         _, report = train(tiny_dataset, tiny_config())
