@@ -37,14 +37,16 @@ def check_f1_loss(seed: int, *, shape: tuple[int, int, int] = (4, 8, 8),
 
 def _well_conditioned(params: model.ModelParams, cache: model.ForwardCache) -> bool:
     """True when every pre-activation sits away from the relu kink and
-    every pool window has a clear winner."""
-    for i in range(len(cache.taps)):
-        x = ops.maxpool2d(cache.taps[i - 1]) if i > 0 else cache.image
+    every pool window has a clear winner. Block 1's tap, which the cache
+    does not keep, is rebuilt as the backward rebuilds it."""
+    taps = [model.block_tap(params, 0, cache.image), *cache.taps]
+    for i in range(len(taps)):
+        x = ops.maxpool2d(taps[i - 1]) if i > 0 else cache.image
         z = ops.conv2d(x, params[f"block{i + 1}.weight"],
                        model.KERNEL // 2) + params[f"block{i + 1}.bias"][:, None, None]
         if np.abs(z).min() <= SMOOTH_MARGIN:
             return False
-    for a in cache.taps[:-1]:
+    for a in taps[:-1]:
         c, h, w = a.shape
         windows = a.reshape(c, h // 2, 2, w // 2, 2)
         windows = windows.transpose(0, 1, 3, 2, 4).reshape(c, h // 2, w // 2, 4)

@@ -23,7 +23,7 @@ def _check_scores_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"{scores.size} scores but {labels.size} labels")
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
-    if not np.isin(labels, (0.0, 1.0)).all():
+    if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must be binary")
     return scores, labels
 

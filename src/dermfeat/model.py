@@ -2,9 +2,11 @@
 
 Each encoder block is conv(KERNEL x KERNEL, "same" zero padding) + bias
 -> relu; 2x2 max pooling follows every block except the last. Every
-block's activation is tapped before its pool; the backward re-pools each
-tap, as the forward caches no pooled copy (recomputing to save memory:
-Chen et al., arXiv:1604.06174). The network computes the hypercolumn
+block's activation is tapped before its pool. The forward caches no
+pooled copy and not block 1's tap, the largest and cheapest to rebuild:
+the backward rebuilds that tap from the image and re-pools each tap
+(recomputing to save memory: Chen et al., arXiv:1604.06174). The
+network computes the hypercolumn
 function: resize every tap bilinearly back to the input resolution,
 concatenate the taps, map each pixel's hypercolumn to one channel per
 class with a 1x1 convolution plus bias, and squash with an elementwise
@@ -144,13 +146,23 @@ def _head_slice(w_a: np.ndarray, tap: np.ndarray) -> np.ndarray:
     return (w_a[:, :, 0, 0] @ tap.reshape(c, -1)).reshape(-1, th, tw)
 
 
+def block_tap(params: ModelParams, i: int, x: np.ndarray) -> np.ndarray:
+    """Block i+1's post-relu activation (its tap) of the block input x.
+    The forward, the backward's rebuild of block 1's tap and the gradient
+    checks all use this one expression, so they agree to the byte."""
+    block = f"block{i + 1}"
+    return ops.relu(ops.conv2d(x, params[f"{block}.weight"], KERNEL // 2)
+                    + params[f"{block}.bias"][:, None, None])
+
+
 @dataclass
 class ForwardCache:
-    """Intermediates for the backward pass, which re-pools the taps. No
-    output: the backward takes the logits' gradient."""
+    """Intermediates for the backward pass, which rebuilds block 1's tap
+    and re-pools the taps. No output: the backward takes the logits'
+    gradient."""
 
     image: np.ndarray                # the float64 input to block 1
-    taps: list[np.ndarray]           # post-relu activations (pre-pool)
+    taps: list[np.ndarray]           # blocks 2..B's taps (pre-pool)
 
 
 def forward(params: ModelParams, cfg: EncoderConfig,
@@ -164,10 +176,8 @@ def forward(params: ModelParams, cfg: EncoderConfig,
 
     taps = []
     for i in range(cfg.block_count):
-        block = f"block{i + 1}"
         x = ops.maxpool2d(taps[i - 1]) if i > 0 else image
-        taps.append(ops.relu(ops.conv2d(x, params[f"{block}.weight"], KERNEL // 2)
-                             + params[f"{block}.bias"][:, None, None]))
+        taps.append(block_tap(params, i, x))
 
     # Each tap's head slice at the tap's resolution; only the class maps
     # are resized to the input and summed onto the bias.
@@ -175,7 +185,7 @@ def forward(params: ModelParams, cfg: EncoderConfig,
     logits = sum((ops.bilinear_resize(_head_slice(w_a, a), h, w)
                   for a, w_a in zip(taps, head)),
                  start=params["head.bias"][:, None, None])
-    return ops.sigmoid(logits), ForwardCache(image, taps)
+    return ops.sigmoid(logits), ForwardCache(image, taps[1:])
 
 
 def backward(params: ModelParams, cfg: EncoderConfig, cache: ForwardCache,
@@ -203,12 +213,17 @@ def backward(params: ModelParams, cfg: EncoderConfig, cache: ForwardCache,
 
     # Each gradient is dropped at its last use (Chen et al.,
     # arXiv:1604.06174): with one backward per thread, the peak is every
-    # thread's live set at once. It sits in block 1's relu_backward, where
-    # g_tap and g_z are both live at full resolution; g_logits is the
-    # caller's.
+    # thread's live set at once. Block 1's tap is rebuilt at block 2's
+    # stage (block 1's in a one-block encoder), which re-pools it and
+    # routes through its pool, and dropped after block 1's relu mask. The
+    # peak sits at block 1's stage, where that tap, g_tap and g_from_pool
+    # are live at full resolution; g_logits is the caller's.
+    taps = [None, *cache.taps]
     g_from_pool = 0.0
     for i in reversed(range(cfg.block_count)):
-        tap = cache.taps[i]
+        if i == min(1, cfg.block_count - 1):
+            taps[0] = block_tap(params, 0, cache.image)
+        tap = taps.pop()
         c, th, tw = tap.shape
         g = ops.bilinear_resize_backward(g_logits, th, tw).reshape(CLASS_COUNT, -1)
         g_head[i] = (g @ tap.reshape(c, -1).T)[:, :, None, None]
@@ -216,17 +231,18 @@ def backward(params: ModelParams, cfg: EncoderConfig, cache: ForwardCache,
         del g
         g_tap += g_from_pool
         del g_from_pool
-        # relu(z) > 0 exactly where z > 0, so the tap masks like z.
+        # relu(z) > 0 exactly where z > 0, so the tap masks like z; the
+        # mask is applied to g_tap in place.
         g_z = ops.relu_backward(tap, g_tap)
-        del g_tap
+        del tap, g_tap
         block = f"block{i + 1}"
         grads[f"{block}.bias"] = g_z.sum(axis=(1, 2))
-        x = ops.maxpool2d(cache.taps[i - 1]) if i > 0 else cache.image
+        x = ops.maxpool2d(taps[-1]) if i > 0 else cache.image
         g_x, grads[f"{block}.weight"] = ops.conv2d_backward(
             x, params[f"{block}.weight"], KERNEL // 2, g_z)
         del g_z
         if i > 0:
-            g_from_pool = ops.maxpool2d_backward(cache.taps[i - 1], x, g_x)
+            g_from_pool = ops.maxpool2d_backward(taps[-1], x, g_x)
             del x, g_x
     grads["head.weight"] = ops.concat_channels(g_head)
     return grads, g_x

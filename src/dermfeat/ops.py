@@ -212,14 +212,14 @@ def maxpool2d_backward(x: np.ndarray, out: np.ndarray,
     row-major order, whose value equals out; the rest get 0.0. A -0.0
     entry arrives as +0.0, as a sum from 0.0 gives.
     """
-    g = grad_output + 0.0
     grad_x = np.empty_like(x)  # the four views below tile it
     free = np.ones(out.shape, dtype=bool)  # window not yet routed
     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
         hit = free & (x[:, i::2, j::2] == out)
-        # Not g * hit: a negative g times False is -0.0.
-        grad_x[:, i::2, j::2] = np.where(hit, g, 0.0)
+        # Not grad_output * hit: a negative entry times False is -0.0.
+        grad_x[:, i::2, j::2] = np.where(hit, grad_output, 0.0)
         free &= ~hit
+    grad_x += 0.0  # a routed -0.0 becomes +0.0
     return grad_x
 
 
@@ -229,8 +229,12 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
-    """Pass gradient where x > 0, zero elsewhere (subgradient 0 at 0)."""
-    return np.where(x > 0.0, grad_output, 0.0)
+    """Pass gradient where x > 0, zero elsewhere (subgradient 0 at 0).
+
+    Masks grad_output in place and returns it: the caller owns it.
+    """
+    np.copyto(grad_output, 0.0, where=~(x > 0.0))
+    return grad_output
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -87,7 +87,7 @@ def validate_labels(labels: np.ndarray, count: int) -> np.ndarray:
     if labels.shape[0] != count:
         raise ValueError(f"label matrix has {labels.shape[0]} rows, superpixel "
                          f"map has {count}")
-    if not np.isin(labels, (0.0, 1.0)).all():
+    if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("label matrix entries must be 0 or 1")
     return labels
 

@@ -88,6 +88,26 @@ def test_conditioning_reads_the_biased_pre_activation():
     assert not checks._well_conditioned(params, cache)
 
 
+def test_conditioning_rejects_a_close_block1_pool_window():
+    # The cache keeps no block-1 tap, so the check rebuilds it. Block 1
+    # passes the image through (center weight 1, bias 0.5) and block 2 is
+    # the constant 0.5: only a block-1 pool window can fail.
+    cfg = model.EncoderConfig(channels=(2, 2), in_channels=1)
+    params = {name: np.zeros_like(a)
+              for name, a in model.init_params(cfg, 0).items()}
+    params["block1.weight"][:, 0, 1, 1] = 1.0
+    params["block1.bias"][...] = 0.5
+    params["block2.bias"][...] = 0.5
+    image = np.arange(16.0).reshape(1, 4, 4) / 16
+    _, cache = model.forward(params, cfg, image)
+    assert checks._well_conditioned(params, cache)
+    # The first window's top two, 5/16 and 4/16, brought within the margin.
+    close = image.copy()
+    close[0, 1, 0] = 5 / 16 - 0.5 * checks.SMOOTH_MARGIN
+    _, cache = model.forward(params, cfg, close)
+    assert not checks._well_conditioned(params, cache)
+
+
 @pytest.mark.parametrize("seed", [-1, -1000])
 def test_checks_reject_negative_seed_by_name(seed):
     message = f"seed must be >= 0, got {seed}"

@@ -94,6 +94,11 @@ class TestAuroc:
         with pytest.raises(ValueError, match="finite"):
             auroc([np.nan, 0.2, 0.3], [1, 0, 1])
 
+    def test_binary_check_rejects_nan_and_passes_negative_zero(self):
+        assert auroc([0.1, 0.2, 0.3], [-0.0, 0.0, 1.0]) == 1.0
+        with pytest.raises(ValueError, match="binary"):
+            auroc([0.1, 0.2, 0.3], [np.nan, 1.0, 0.0])
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="scores"):
             auroc([0.1, 0.2], [1])

@@ -160,12 +160,14 @@ class TestForward:
         np.testing.assert_array_equal(probs, np.full((4, 8, 8), 0.5))
 
     def test_block1_tap_full_resolution(self):
+        # The cache keeps the taps of blocks 2..B; block 1's is rebuilt
+        # from the cached image.
         cfg = EncoderConfig(channels=(8, 16, 32), in_channels=3)
         rng = np.random.default_rng(50)
-        _, cache = forward(init_params(cfg, 0), cfg, rng.random((3, 16, 16)))
-        assert cache.taps[0].shape == (8, 16, 16)
-        assert cache.taps[1].shape == (16, 8, 8)
-        assert cache.taps[2].shape == (32, 4, 4)
+        params = init_params(cfg, 0)
+        _, cache = forward(params, cfg, rng.random((3, 16, 16)))
+        assert model.block_tap(params, 0, cache.image).shape == (8, 16, 16)
+        assert [a.shape for a in cache.taps] == [(16, 8, 8), (32, 4, 4)]
 
     def test_hypercolumn_channel_count(self):
         cfg = EncoderConfig()
@@ -185,15 +187,16 @@ class TestForward:
         image = rng.random((3, 16, 16))
         grad_probs = rng.normal(size=(4, 16, 16))
         probs, cache = forward(params, cfg, image)
-        # The image itself and the taps: no pooled copy, no output.
+        # The image itself and the taps of blocks 2..B: no block-1 tap,
+        # no pooled copy, no output.
         assert [f.name for f in dataclasses.fields(cache)] == [
             "image", "taps"]
         assert np.shares_memory(cache.image, image)
-        assert [a.shape for a in cache.taps] == [(4, 16, 16), (6, 8, 8),
-                                                 (8, 4, 4)]
+        assert [a.shape for a in cache.taps] == [(6, 8, 8), (8, 4, 4)]
 
-        # conv_head_composition keeps every pooled block input from its
-        # own forward; the re-pooled ones give the same bytes.
+        # conv_head_composition keeps every tap and pooled block input
+        # from its own forward; the rebuilt and re-pooled ones give the
+        # same bytes.
         def pooled_input_backward(params, cfg, cache, grad_logits):
             return conv_head_composition(params, cfg, cache.image,
                                          grad_logits)[1:]
@@ -305,24 +308,65 @@ class TestBackward:
             model.backward(params, TINY, cache, np.zeros((4, 6, 6)))
 
     def test_traced_peak_per_pixel_at_256px(self):
-        # Each gradient is dropped at its last use, and the logit
-        # gradient is the caller's (the cache is image 24 + taps 122
-        # bytes a pixel, the logit gradient 32). The peak, 144 bytes a
-        # pixel above those, sits in block 1's relu_backward; a backward
-        # that chained the gradient through the logistic itself, with
-        # its own 32-byte copy live there, read 172.
+        # The cache and the backward together: the backward holds block
+        # 1's rebuilt tap, so the cache's bytes are only saved if the
+        # backward does not spend them. The image and the logit gradient
+        # are made before tracing; the traced cache is the taps of blocks
+        # 2..B, 58 bytes a pixel. Each gradient is dropped at its last use
+        # and block 1's relu mask is applied in place, so the backward
+        # peaks at block 1's stage with its tap, g_tap and g_from_pool
+        # live: 257.7 bytes a pixel in all. A cache with block 1's tap
+        # (122 bytes a pixel) read 265.7, and keeping block 2's g_z or its
+        # pooled input and input gradient into block 1's stage 290.
         cfg = EncoderConfig()
         rng = np.random.default_rng(58)
         params = init_params(cfg, 9)
-        probs, cache = forward(params, cfg, rng.random((3, 256, 256)))
-        grad_logits = rng.normal(size=probs.shape)
+        image = rng.random((3, 256, 256))
+        grad_logits = rng.normal(size=(4, 256, 256))
+        forward(params, cfg, image)  # caches the resize matrices untraced
         tracemalloc.start()  # numpy reports its buffers to tracemalloc
         try:
+            probs, cache = forward(params, cfg, image)
+            del probs
+            tracemalloc.reset_peak()
             model.backward(params, cfg, cache, grad_logits)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / (256 * 256) < 160
+        assert peak / (256 * 256) < 262
+
+    def test_bytes_at_256px_match_backward_with_forward_block1_tap(
+            self, monkeypatch):
+        # The backward as it was with block 1's tap in the cache: the
+        # forward's own tap, the relu mask out of place and pool routing
+        # by argmax. At 256 px block 1's convolutions run in row bands.
+        cfg = EncoderConfig()
+        rng = np.random.default_rng(60)
+        params = init_params(cfg, 14)
+        image = rng.random((3, 256, 256))
+        built = []
+
+        def recorded_block_tap(params, i, x, _block_tap=model.block_tap):
+            built.append(_block_tap(params, i, x))
+            return built[-1]
+
+        monkeypatch.setattr(model, "block_tap", recorded_block_tap)
+        probs, cache = forward(params, cfg, image)
+        grad_logits = ops.sigmoid_backward(probs, rng.normal(size=probs.shape))
+        grads, g_img = model.backward(params, cfg, cache, grad_logits)
+        assert len(built) == cfg.block_count + 1  # one rebuild
+
+        forward_tap = built[0]
+        monkeypatch.setattr(model, "block_tap", lambda *args: forward_tap)
+        monkeypatch.setattr(ops, "relu_backward",
+                            lambda x, g: np.where(x > 0.0, g, 0.0))
+        monkeypatch.setattr(ops, "maxpool2d_backward", lambda x, out, g: (
+            maxpool2d_backward_oracle(maxpool2d_oracle(x)[1], g, x.shape)))
+        want_grads, want_g_img = model.backward(params, cfg, cache,
+                                                grad_logits)
+        for name in grads:
+            assert grads[name].tobytes() == want_grads[name].tobytes(), name
+        assert g_img.tobytes() == want_g_img.tobytes()
 
     def test_end_to_end_loss_gradient(self):
         rng = np.random.default_rng(57)
@@ -410,7 +454,8 @@ class TestBoundaryCoercion:
 class TestFactoredHead:
     @pytest.mark.parametrize("cfg, hw", [
         (EncoderConfig(), (16, 16)), (EncoderConfig(), (32, 48)), (TINY, (8, 8)),
-    ], ids=["default-16x16", "default-32x48", "tiny-8x8"])
+        (EncoderConfig(channels=(3,), in_channels=1), (8, 8)),
+    ], ids=["default-16x16", "default-32x48", "tiny-8x8", "one-block-8x8"])
     def test_matches_hypercolumn_oracle(self, cfg, hw):
         rng = np.random.default_rng(58)
         params = init_params(cfg, 12)
@@ -437,8 +482,8 @@ class TestFactoredHead:
 
     @pytest.mark.parametrize("hw", [(64, 64), (32, 48)])
     def test_bytes_match_conv_head_composition(self, hw):
-        # The matmul head and the skipped same-size resize change no byte
-        # of the output or of any gradient.
+        # The matmul head, the skipped same-size resize and block 1's
+        # rebuilt tap change no byte of the output or of any gradient.
         cfg = EncoderConfig()
         rng = np.random.default_rng(59)
         params = init_params(cfg, 13)
@@ -473,14 +518,19 @@ import hashlib, json, os
 import numpy as np
 from dermfeat import model, ops
 from dermfeat.loss import f1_loss_grad
-bands = []  # one count per conv2d_backward call; the forward runs first
+bands = []  # one count per conv2d_backward call, not the forward convs'
+inside = []
 def columns(*args, _columns=ops._columns):
-    if bands:
+    if inside:
         bands[-1] += 1
     return _columns(*args)
 def conv2d_backward(*args, _backward=ops.conv2d_backward):
     bands.append(0)
-    return _backward(*args)
+    inside.append(True)
+    try:
+        return _backward(*args)
+    finally:
+        inside.pop()
 ops._columns, ops.conv2d_backward = columns, conv2d_backward
 cfg = model.EncoderConfig()
 params = model.init_params(cfg, 21)

@@ -338,6 +338,21 @@ class TestMaxPool:
             want = maxpool2d_backward_oracle(argmax, g, x.shape)
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("tied", range(1, 16))
+    def test_tied_window_and_signed_zero_gradient_route_like_oracle(self,
+                                                                     tied):
+        # Bit k of `tied` puts the window's max at row-major position k;
+        # each window of the row gets one gradient entry, -0.0 among them.
+        at = [k for k in range(4) if tied >> k & 1]
+        window = np.array([2.0 if k in at else 1.0 for k in range(4)])
+        x = np.tile(window.reshape(2, 2), (1, 1, 5))
+        x[0, :, 8:] *= -1.0  # a last window of negative values
+        out = ops.maxpool2d(x)
+        g = np.array([[[-0.0, 0.0, -1.5, 2.0, -0.0]]])
+        got = ops.maxpool2d_backward(x, out, g)
+        want = maxpool2d_backward_oracle(maxpool2d_oracle(x)[1], g, x.shape)
+        assert got.tobytes() == want.tobytes()
+
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(10)
         # Spread values keep every window far from ties.
@@ -361,12 +376,20 @@ class TestRelu:
         g = np.array([10.0, 10.0, 10.0])
         np.testing.assert_array_equal(ops.relu_backward(x, g), [0.0, 0.0, 10.0])
 
+    def test_backward_masks_grad_output_in_place(self):
+        x = np.array([[-1.0, 0.0, 2.0, 3.0], [-0.0, np.nan, 1.0, -2.0]])
+        g = np.array([[-4.0, -5.0, -0.0, -6.0], [7.0, 8.0, np.inf, -0.0]])
+        want = np.where(x > 0.0, g, 0.0)
+        got = ops.relu_backward(x, g)
+        assert got is g
+        assert got.tobytes() == want.tobytes()
+
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(2, 6, 6))
         x[np.abs(x) < 1e-3] = 0.5  # condition away from the kink
         g = rng.normal(size=x.shape)
-        gx = ops.relu_backward(x, g)
+        gx = ops.relu_backward(x, g.copy())
         rep = gradcheck(lambda v: float((g * ops.relu(v)).sum()), x, gx,
                         step=1e-5, tolerance=1e-6)
         assert rep.passed, rep.summary()

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from dermfeat import netpbm
 from dermfeat.superpixels import (CLASS_COUNT, SuperpixelMap, grid_superpixels,
                                   labels_to_mask, mask_to_scores, read_labels,
-                                  read_superpixel_map, write_labels,
-                                  write_superpixel_map)
+                                  read_superpixel_map, validate_labels,
+                                  write_labels, write_superpixel_map)
 
 
 class TestGrid:
@@ -272,6 +272,14 @@ class TestLabelCodec:
         path.write_text(doc)
         with pytest.raises(ValueError, match="0 or 1"):
             read_labels(path)
+
+    def test_binary_check_rejects_nan_and_passes_negative_zero(self):
+        labels = np.zeros((2, CLASS_COUNT))
+        labels[1, 2] = -0.0
+        assert validate_labels(labels, 2).tobytes() == labels.tobytes()
+        labels[0, 1] = np.nan
+        with pytest.raises(ValueError, match="0 or 1"):
+            validate_labels(labels, 2)
 
     def test_rejects_count_mismatch(self, tmp_path):
         path = tmp_path / "labels.json"

@@ -240,12 +240,13 @@ class TestTrain:
     def test_peak_grows_by_cache_and_loss_gradient_per_batch_pixel(
             self, tmp_path):
         # Through a batch's backward, train holds each image's forward
-        # cache (the float64 image 24 and the taps 122: 146 bytes a pixel
-        # for the default encoder) and the logit gradient (32), one
-        # backward's temporaries aside; measured: 178-180 bytes per added
-        # batch pixel. A cache that also kept the output (32 more) took
-        # 210-212, and one that also kept each pooled block input (30
-        # more again) 239-240.
+        # cache (the float64 image 24 and the taps of blocks 2..B 58: 82
+        # bytes a pixel for the default encoder) and the logit gradient
+        # (32), one backward's temporaries aside. A cache that also kept
+        # block 1's tap (64 more) took 178-180 bytes per added batch
+        # pixel, one that also kept the output (32 more again) 210-212,
+        # and one that also kept each pooled block input (30 more again)
+        # 239-240.
         data.generate(SynthSpec(image_size=64, cell=8, seed=4), 8, tmp_path)
         dataset = data.load(tmp_path / "manifest.json")
 
@@ -258,7 +259,7 @@ class TestTrain:
             finally:
                 tracemalloc.stop()
 
-        assert (peak(8) - peak(2)) / (6 * 64 * 64) < 195
+        assert (peak(8) - peak(2)) / (6 * 64 * 64) < 135
 
     def test_report_json_excludes_wall_time_by_default(self, tiny_dataset):
         _, report = train(tiny_dataset, tiny_config())
