@@ -6,11 +6,10 @@ block's activation is tapped before its pool. The forward caches no
 pooled copy and not block 1's tap, the largest and cheapest to rebuild:
 the backward rebuilds that tap from the image and re-pools each tap
 (recomputing to save memory: Chen et al., arXiv:1604.06174). The
-network computes the hypercolumn
-function: resize every tap bilinearly back to the input resolution,
-concatenate the taps, map each pixel's hypercolumn to one channel per
-class with a 1x1 convolution plus bias, and squash with an elementwise
-logistic into (0, 1). The convolutions in ops are bias-free: this module
+network computes the hypercolumn function: resize every tap bilinearly
+back to the input resolution, concatenate the taps, map each pixel's
+hypercolumn to one channel per class with a 1x1 convolution plus bias,
+and squash with an elementwise logistic into (0, 1). The convolutions in ops are bias-free: this module
 adds every bias and sums every bias gradient. The backward starts from
 the gradient of the logits: the caller chains its loss gradient through
 the logistic (ops.sigmoid_backward) with the probabilities it holds, so

@@ -233,7 +233,7 @@ def relu_backward(x: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
 
     Masks grad_output in place and returns it: the caller owns it.
     """
-    np.copyto(grad_output, 0.0, where=~(x > 0.0))
+    np.putmask(grad_output, ~(x > 0.0), 0.0)
     return grad_output
 
 
