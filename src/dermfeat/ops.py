@@ -3,7 +3,8 @@ operation the model needs (conv, pool, relu, sigmoid, bilinear resize),
 plus concat and split of the head weight along its input channels.
 
 All operations are pure functions over float64 numpy arrays with layout
-[channels, height, width]. Kernels assume float64 operands, of any
+[channels, height, width], except that relu_backward masks the gradient
+it is given in place. Kernels assume float64 operands, of any
 strides, of well-formed shapes, and check neither dtype nor shape: a
 mismatched operand may broadcast silently. Data is coerced and checked
 once where it enters: model.forward checks the image and the params,
