@@ -518,8 +518,8 @@ import hashlib, json, os
 import numpy as np
 from dermfeat import model, ops
 from dermfeat.loss import f1_loss_grad
-bands = []  # one count per conv2d_backward call, not the forward convs'
-inside = []
+bands = []  # one count per conv2d_backward call
+inside = []  # conv2d, also run by the backward's rebuild, is not counted
 def columns(*args, _columns=ops._columns):
     if inside:
         bands[-1] += 1
